@@ -144,7 +144,12 @@ pub fn run_munin(
     params: MatmulParams,
     cost: CostModel,
 ) -> munin_core::Result<(RunMeasurement, Vec<i32>)> {
-    let n = params.n;
+    let cfg = munin_config(&params, cost);
+    run_munin_with(params, cfg)
+}
+
+/// The runtime configuration [`run_munin`] uses for `params`.
+pub fn munin_config(params: &MatmulParams, cost: CostModel) -> MuninConfig {
     let mut cfg = MuninConfig::paper(params.procs)
         .with_cost(cost)
         .with_page_size(params.page_size)
@@ -169,6 +174,16 @@ pub fn run_munin(
     if let Some(d) = params.detect {
         cfg = cfg.with_detect(d);
     }
+    cfg
+}
+
+/// Runs the Munin version under an explicit runtime configuration (for
+/// settings [`MatmulParams`] does not carry, such as the barrier fan-in).
+pub fn run_munin_with(
+    params: MatmulParams,
+    cfg: MuninConfig,
+) -> munin_core::Result<(RunMeasurement, Vec<i32>)> {
+    let n = params.n;
     let mut prog = MuninProgram::new(cfg);
     let input1 = prog.declare::<i32>("input1", n * n, SharingAnnotation::ReadOnly);
     let input2 = prog.declare::<i32>("input2", n * n, SharingAnnotation::ReadOnly);

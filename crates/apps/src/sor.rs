@@ -72,10 +72,10 @@ pub struct SorParams {
     /// Overrides the adaptive-relay size threshold
     /// (`MUNIN_RELAY_MAX_BYTES`); `None` keeps the config default / env.
     pub relay_max_bytes: Option<u64>,
-    /// Overrides the barrier combining-tree fan-in
-    /// (`MUNIN_BARRIER_FANOUT`): `Some(k)` forces a k-ary tree,
-    /// `Some(usize::MAX)` forces flat, `None` keeps the auto policy (tree
-    /// at 32 nodes and up).
+    /// Overrides the barrier combining-tree fan-in: `Some(k)` runs a k-ary
+    /// tree (any `k ≥ procs − 1` is the single-level owner-collected
+    /// barrier), `None` keeps the config default
+    /// (`munin_core::config::DEFAULT_BARRIER_FANOUT`).
     pub barrier_fanout: Option<usize>,
 }
 
@@ -342,6 +342,15 @@ pub fn run_message_passing(
         let me = ctx.node_id();
         let nodes = ctx.nodes();
         let (lo, hi) = partition(rows, nodes, me);
+        // A neighbour can run at most one iteration ahead of us (it needs our
+        // row to go further), so at most one early message per neighbour has
+        // to be stashed for the next iteration. Distant workers can finish the
+        // whole computation early, so their final result bands (tag 3) may
+        // also arrive while the root is still iterating; they are stashed for
+        // the gather phase.
+        let mut early_above: Option<Vec<f64>> = None;
+        let mut early_below: Option<Vec<f64>> = None;
+        let mut early_bands: Vec<(usize, Vec<f64>)> = Vec::new();
         // Distribute the initial grid: the root computes it and sends each
         // worker its band (plus ghost rows are exchanged per iteration).
         let mut band: Vec<f64>;
@@ -361,23 +370,23 @@ pub fn run_message_passing(
             }
             band = grid[lo * cols..hi * cols].to_vec();
         } else {
-            let (_src, msg) = ctx.recv().unwrap();
-            let MpMsg::Floats { data, .. } = msg else {
-                panic!("expected band")
+            // A neighbour that already has its band starts iteration 0 by
+            // sending us its ghost row, which can overtake our own band
+            // (tag 0) from the root: stash it for the first iteration.
+            band = loop {
+                let (src, msg) = ctx.recv().unwrap();
+                let MpMsg::Floats { tag, data } = msg else {
+                    panic!("expected band")
+                };
+                match tag {
+                    0 => break data,
+                    _ if src + 1 == me => early_above = Some(data),
+                    _ => early_below = Some(data),
+                }
             };
-            band = data;
         }
         let mut ghost_above = vec![0.0f64; cols];
         let mut ghost_below = vec![0.0f64; cols];
-        // A neighbour can run at most one iteration ahead of us (it needs our
-        // row to go further), so at most one early message per neighbour has
-        // to be stashed for the next iteration. Distant workers can finish the
-        // whole computation early, so their final result bands (tag 3) may
-        // also arrive while the root is still iterating; they are stashed for
-        // the gather phase.
-        let mut early_above: Option<Vec<f64>> = None;
-        let mut early_below: Option<Vec<f64>> = None;
-        let mut early_bands: Vec<(usize, Vec<f64>)> = Vec::new();
         for _iter in 0..iterations {
             // Exchange boundary rows with neighbours (send first, then
             // receive: channels are buffered so this cannot deadlock).
@@ -533,6 +542,20 @@ mod tests {
         let params = SorParams::small(24, 16, 4, 3);
         let (_m, grid) = run_message_passing(params, CostModel::fast_test()).unwrap();
         assert!(close(&grid, &serial(24, 16, 4)));
+    }
+
+    /// Table 5's shape (1024×512) at 4 and 16 processors. Neighbours' ghost
+    /// rows can overtake a worker's initial band here; the run must still
+    /// reproduce the serial grid.
+    #[test]
+    fn message_passing_sor_matches_serial_at_paper_shape() {
+        let reference = serial(1024, 512, 2);
+        for procs in [4, 16] {
+            let mut params = SorParams::paper(procs);
+            params.iterations = 2;
+            let (_m, grid) = run_message_passing(params, CostModel::fast_test()).unwrap();
+            assert!(close(&grid, &reference), "{procs} procs diverged");
+        }
     }
 
     #[test]

@@ -10,10 +10,9 @@
 //!   counts are printed on every run and are the source of the committed
 //!   `BENCH_msg.json` baseline.
 //! * **Scaling curves** at 64/128/256 nodes: the same message-economy table
-//!   continued into combining-tree territory (the auto policy switches the
-//!   barriers from flat to a k=8 tree at 32 nodes), plus a barrier-latency
-//!   sweep comparing the flat owner-collected path against trees of fan-in
-//!   k ∈ {2, 4, 8, 16}. Message/byte counts, owner ingress, and virtual-time
+//!   continued to wide clusters (default barrier fan-in k = 8), plus a
+//!   barrier-latency sweep comparing the single-level owner-collected barrier
+//!   (k = N − 1, "flat") against deeper trees of fan-in k ∈ {2, 4, 8, 16}. Message/byte counts, owner ingress, and virtual-time
 //!   spans are the honest metrics here — they are schedule-deterministic per
 //!   seed; wall-clock rows from the 1-core measurement host carry the usual
 //!   caveat. These tables are the source of the committed `BENCH_scale.json`
@@ -119,10 +118,9 @@ fn report_threshold_sweep() {
 }
 
 /// One wide-cluster run with an explicit barrier fan-out override. Returns
-/// (messages, bytes, owner ingress, virtual elapsed ms). `fanout` follows
-/// `MUNIN_BARRIER_FANOUT` semantics: `Some(usize::MAX)` forces flat,
-/// `Some(k)` forces a k-ary tree, `None` keeps the auto policy (tree, k = 8,
-/// at 32 nodes and up).
+/// (messages, bytes, owner ingress, virtual elapsed ms). `Some(k)` forces a
+/// k-ary tree (`k ≥ nodes − 1` is the single level), `None` keeps the
+/// default (k = 8).
 fn scale_run(
     nodes: usize,
     iterations: usize,
@@ -146,15 +144,13 @@ fn episodes(iterations: usize) -> u64 {
     2 * iterations as u64 + 2
 }
 
-/// Message-economy scaling curve into combining-tree territory: 64/128/256
-/// nodes under the auto barrier policy (tree, k = 8), piggyback on vs off.
+/// Message-economy scaling curve to wide clusters: 64/128/256 nodes under
+/// the default barrier fan-in (k = 8), piggyback on vs off.
 /// Fewer iterations than the small-cluster table (4 vs 12) keep the
 /// 256-thread runs quick; the per-release columns stay comparable.
 fn report_scaling() {
     const ITERS: usize = 4;
-    eprintln!(
-        "micro_flush scaling curve (SOR, auto barrier policy = tree k=8, {ITERS} iterations):"
-    );
+    eprintln!("micro_flush scaling curve (SOR, default barrier fan-in k=8, {ITERS} iterations):");
     eprintln!(
         "{:>6} {:>10} {:>12} {:>12} {:>10} {:>12}",
         "nodes", "mode", "messages", "bytes", "drop", "virt_ms"
@@ -177,11 +173,12 @@ fn report_scaling() {
     }
 }
 
-/// Barrier-latency sweep: flat owner collection vs combining trees of fan-in
-/// k ∈ {2, 4, 8, 16} at 64/128/256 nodes. The owner-ingress column is the
-/// tree's whole point — N arrivals per episode flat, k combines per episode
-/// tree — and the virtual-time span shows what the serialized owner
-/// service cost does to the critical path at scale.
+/// Barrier-latency sweep: single-level owner collection (k = N − 1, "flat")
+/// vs combining trees of fan-in k ∈ {2, 4, 8, 16} at 64/128/256 nodes. The
+/// owner-ingress column is the tree's whole point — N − 1 reports per
+/// episode flat, k per episode for a deeper tree — and the virtual-time span
+/// shows what the serialized owner service cost does to the critical path
+/// at scale.
 fn report_barrier_sweep() {
     const ITERS: usize = 4;
     eprintln!(
@@ -193,9 +190,9 @@ fn report_barrier_sweep() {
         "nodes", "barrier", "ingress", "ingress/ep", "messages", "bytes", "virt_ms"
     );
     for nodes in [64usize, 128, 256] {
-        for fanout in [usize::MAX, 2, 4, 8, 16] {
+        for fanout in [nodes - 1, 2, 4, 8, 16] {
             let (msgs, bytes, ingress, ms) = scale_run(nodes, ITERS, true, Some(fanout));
-            let label = if fanout == usize::MAX {
+            let label = if fanout == nodes - 1 {
                 "flat".to_string()
             } else {
                 format!("k={fanout}")
@@ -261,12 +258,12 @@ fn bench_flush(c: &mut Criterion) {
             });
         });
     }
-    // Wall clock at 128 nodes, flat vs tree. On the 1-core measurement host
-    // this mostly tracks host-level scheduling of 128 worker threads, not
-    // protocol latency — the virtual-time columns above are the honest
-    // scaling metric; this row just guards against the tree path costing
-    // host time.
-    for (label, fanout) in [("flat", usize::MAX), ("tree_k8", 8)] {
+    // Wall clock at 128 nodes, single level vs k = 8. On the 1-core
+    // measurement host this mostly tracks host-level scheduling of 128
+    // worker threads, not protocol latency — the virtual-time columns above
+    // are the honest scaling metric; this row just guards against the
+    // deeper tree costing host time.
+    for (label, fanout) in [("flat", 127), ("tree_k8", 8)] {
         group.bench_function(format!("sor_128node/{label}"), |b| {
             b.iter(|| {
                 let mut p = params(128, 2, true, None);

@@ -99,9 +99,8 @@ pub struct MuninConfig {
     pub annotation_override: Option<SharingAnnotation>,
     /// Copyset determination algorithm used at DUQ flushes.
     pub copyset_strategy: CopysetStrategy,
-    /// Event-engine configuration (schedule seed, delivery mode, fault
-    /// injection). A failing run can be replayed by re-running with the same
-    /// seed.
+    /// Event-engine configuration (schedule seed, fault injection). A
+    /// failing run can be replayed by re-running with the same seed.
     pub engine: EngineConfig,
     /// How insufficient-rights accesses are detected (explicit software
     /// checks or real VM write traps). Defaults to `MUNIN_ACCESS_MODE` from
@@ -156,17 +155,13 @@ pub struct MuninConfig {
     /// environment, else [`DEFAULT_RELAY_MAX_BYTES`]; `0` sends every
     /// payload direct, `u64::MAX` restores the unconditional relay.
     pub relay_max_bytes: u64,
-    /// Fan-in of the hierarchical combining-tree barrier used at all-node
-    /// barriers. `Some(k)` arranges the nodes in a k-ary tree rooted at the
-    /// barrier owner: arrivals combine up the tree (the owner receives at
-    /// most `k` messages per episode instead of one per node) and releases
-    /// fan back down the same edges. `Some(usize::MAX)` forces the flat
-    /// owner-collected barrier. `None` (the default) resolves automatically:
-    /// flat below [`TREE_BARRIER_AUTO_NODES`] nodes — so small-cluster
-    /// delivery schedules stay byte-identical to earlier releases — and
-    /// [`DEFAULT_BARRIER_FANOUT`] at or above it. Defaults to
-    /// `MUNIN_BARRIER_FANOUT` from the environment.
-    pub barrier_fanout: Option<usize>,
+    /// Fan-in `k` of the combining tree every barrier runs over: the nodes
+    /// form a k-ary tree rooted at the barrier owner, arrivals combine up
+    /// the tree (the owner receives at most `k` reports per episode instead
+    /// of one per node) and releases fan back down the same edges. Any
+    /// `k ≥ nodes − 1` is a single level — the paper's owner-collected
+    /// barrier. Defaults to [`DEFAULT_BARRIER_FANOUT`].
+    pub barrier_fanout: usize,
 }
 
 /// Reads `MUNIN_PIGGYBACK` from the environment: `on`/`1` (or the variable
@@ -239,36 +234,6 @@ fn parse_relay_max_bytes(v: Option<&str>) -> u64 {
             ),
         },
         None => DEFAULT_RELAY_MAX_BYTES,
-    }
-}
-
-/// Reads `MUNIN_BARRIER_FANOUT` (combining-tree fan-in for all-node
-/// barriers) from the environment: an integer `k >= 2` selects a k-ary tree,
-/// `flat` forces the flat owner-collected barrier, unset leaves the auto
-/// policy (flat below [`TREE_BARRIER_AUTO_NODES`] nodes, else
-/// [`DEFAULT_BARRIER_FANOUT`]).
-///
-/// # Panics
-///
-/// Panics on any other value — `k = 0` or `1` does not describe a tree, and
-/// a typo silently falling back to the auto policy would invalidate a
-/// barrier-topology sweep without a trace.
-pub fn barrier_fanout_from_env() -> Option<usize> {
-    parse_barrier_fanout(std::env::var("MUNIN_BARRIER_FANOUT").ok().as_deref())
-}
-
-/// Pure parsing core of [`barrier_fanout_from_env`].
-fn parse_barrier_fanout(v: Option<&str>) -> Option<usize> {
-    match v {
-        None => None,
-        Some("flat") => Some(usize::MAX),
-        Some(v) => match v.parse::<usize>() {
-            Ok(k) if k >= 2 => Some(k),
-            _ => panic!(
-                "invalid MUNIN_BARRIER_FANOUT={v:?}: expected an integer fan-in >= 2 \
-                 (e.g. MUNIN_BARRIER_FANOUT=8) or \"flat\" to force the flat barrier"
-            ),
-        },
     }
 }
 
@@ -370,16 +335,10 @@ pub const DEFAULT_DETECT: Duration = Duration::from_secs(2);
 /// at 0.90× but forfeits the relay's share of the message savings.
 pub const DEFAULT_RELAY_MAX_BYTES: u64 = 512;
 
-/// Default combining-tree fan-in when the auto policy selects the tree
-/// barrier. Eight keeps the owner's per-episode ingress at 8 messages while
-/// holding the tree to ⌈log₈ N⌉ hops (2 at 64 nodes, 3 at 256).
+/// Default barrier fan-in. Eight keeps the owner's per-episode ingress at
+/// 8 reports while holding the tree to ⌈log₈ N⌉ hops (one level up to 9
+/// nodes, 2 at 64, 3 at 256).
 pub const DEFAULT_BARRIER_FANOUT: usize = 8;
-
-/// Cluster size at which the auto policy switches all-node barriers from the
-/// flat owner-collected protocol to the combining tree. Below this the flat
-/// barrier's O(N) owner ingress is cheap and the delivery schedule stays
-/// byte-identical to earlier releases (the committed golden digests).
-pub const TREE_BARRIER_AUTO_NODES: usize = 32;
 
 impl MuninConfig {
     /// Configuration matching the paper's prototype: 8 KB objects, the
@@ -401,7 +360,7 @@ impl MuninConfig {
             trace_out: trace_out_from_env(),
             detect: detect_from_env(),
             relay_max_bytes: relay_max_bytes_from_env(),
-            barrier_fanout: barrier_fanout_from_env(),
+            barrier_fanout: DEFAULT_BARRIER_FANOUT,
         }
     }
 
@@ -424,7 +383,7 @@ impl MuninConfig {
             trace_out: trace_out_from_env(),
             detect: detect_from_env(),
             relay_max_bytes: relay_max_bytes_from_env(),
-            barrier_fanout: barrier_fanout_from_env(),
+            barrier_fanout: DEFAULT_BARRIER_FANOUT,
         }
     }
 
@@ -515,26 +474,16 @@ impl MuninConfig {
         self
     }
 
-    /// Sets the combining-tree barrier fan-in (`usize::MAX` forces the flat
-    /// barrier regardless of cluster size).
+    /// Sets the barrier fan-in (any `k ≥ nodes − 1` is a single level).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `fanout` is below 2: a fan-in of 1 is a chain that
+    /// serialises every arrival, not a tree.
     pub fn with_barrier_fanout(mut self, fanout: usize) -> Self {
-        self.barrier_fanout = Some(fanout);
+        assert!(fanout >= 2, "barrier fan-in {fanout} is below 2");
+        self.barrier_fanout = fanout;
         self
-    }
-
-    /// Effective combining-tree fan-in for all-node barriers: `Some(k)` runs
-    /// the k-ary tree, `None` the flat owner-collected barrier. The explicit
-    /// setting wins when one was given (`usize::MAX` meaning flat); the auto
-    /// policy keeps clusters below [`TREE_BARRIER_AUTO_NODES`] flat — their
-    /// delivery schedules stay byte-identical to earlier releases — and runs
-    /// [`DEFAULT_BARRIER_FANOUT`] at or above it.
-    pub fn effective_barrier_fanout(&self) -> Option<usize> {
-        match self.barrier_fanout {
-            Some(usize::MAX) => None,
-            Some(k) => Some(k),
-            None if self.nodes >= TREE_BARRIER_AUTO_NODES => Some(DEFAULT_BARRIER_FANOUT),
-            None => None,
-        }
     }
 
     /// Effective failure-detection window: the explicit window when one was
@@ -674,45 +623,23 @@ mod tests {
     }
 
     #[test]
-    fn barrier_fanout_parses_strictly() {
-        assert_eq!(parse_barrier_fanout(None), None);
-        assert_eq!(parse_barrier_fanout(Some("flat")), Some(usize::MAX));
-        assert_eq!(parse_barrier_fanout(Some("2")), Some(2));
-        assert_eq!(parse_barrier_fanout(Some("8")), Some(8));
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid MUNIN_BARRIER_FANOUT=\"1\"")]
-    fn barrier_fanout_rejects_degenerate_trees() {
-        // A fan-in of 1 is a linked list, not a tree; reject it loudly
-        // rather than running a barrier that serialises every arrival.
-        parse_barrier_fanout(Some("1"));
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid MUNIN_BARRIER_FANOUT=\"eight\"")]
-    fn barrier_fanout_rejects_non_numeric_values() {
-        parse_barrier_fanout(Some("eight"));
-    }
-
-    #[test]
-    fn barrier_fanout_auto_policy_keeps_small_clusters_flat() {
-        let mut small = MuninConfig::fast_test(16);
-        small.barrier_fanout = None;
-        assert_eq!(small.effective_barrier_fanout(), None);
-
-        let mut wide = MuninConfig::fast_test(64);
-        wide.barrier_fanout = None;
+    fn barrier_fanout_defaults_to_eight_and_is_settable() {
         assert_eq!(
-            wide.effective_barrier_fanout(),
-            Some(DEFAULT_BARRIER_FANOUT)
+            MuninConfig::fast_test(16).barrier_fanout,
+            DEFAULT_BARRIER_FANOUT
         );
+        assert_eq!(
+            MuninConfig::fast_test(8)
+                .with_barrier_fanout(4)
+                .barrier_fanout,
+            4
+        );
+    }
 
-        let forced_flat = MuninConfig::fast_test(64).with_barrier_fanout(usize::MAX);
-        assert_eq!(forced_flat.effective_barrier_fanout(), None);
-
-        let forced_tree = MuninConfig::fast_test(8).with_barrier_fanout(4);
-        assert_eq!(forced_tree.effective_barrier_fanout(), Some(4));
+    #[test]
+    #[should_panic(expected = "barrier fan-in 1 is below 2")]
+    fn barrier_fanout_rejects_degenerate_trees() {
+        let _ = MuninConfig::fast_test(8).with_barrier_fanout(1);
     }
 
     #[test]

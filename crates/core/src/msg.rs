@@ -85,8 +85,9 @@ pub struct CarrierUpdate {
     pub sync_install: bool,
 }
 
-/// A flush update riding a `BarrierArrive` towards the barrier owner, to be
-/// re-attached to the `BarrierRelease` headed to `dest`. Two kinds of flush
+/// A flush update riding `BarrierArrive` reports up the barrier tree, or a
+/// `BarrierRelease` down it, towards `dest` — where it is installed before
+/// the release that frames it is routed to the user thread. Two kinds of flush
 /// travel this way (see `DESIGN.md`, "Carrier layer"), each with its own
 /// safety argument: *owner-flushed* fan-out updates (the flusher serves all
 /// fetches for those objects from live memory, so a copy that missed the
@@ -260,6 +261,11 @@ pub enum DsmMsg {
         objects: std::sync::Arc<[ObjectId]>,
         /// Node awaiting the replies.
         requester: NodeId,
+        /// Crash recovery's "who still holds a copy" round (orphaned
+        /// objects): answered from the current rights at once, never
+        /// deferred on a busy entry — two survivors faulting on the same
+        /// orphan each hold their entry busy while they ask each other.
+        recovery: bool,
     },
     /// Reply to a [`DsmMsg::CopysetQuery`].
     CopysetReply {
@@ -314,46 +320,33 @@ pub enum DsmMsg {
         /// queue travels with the lock).
         queue: Vec<NodeId>,
     },
-    /// A thread arrived at a barrier.
+    /// A barrier report travelling up the combining tree: every member of
+    /// `arrived` has reached the barrier. Sent to the sender's live tree
+    /// parent once its own arrival plus all of its live children's reports
+    /// are in; in a single-level tree every node sends one straight to the
+    /// owner. Carries the full arrived set (not a count) so re-sends after a
+    /// re-parent merge idempotently at the new parent.
     BarrierArrive {
         /// The barrier.
         barrier: BarrierId,
-        /// Arriving node.
-        from: NodeId,
-    },
-    /// The barrier owner releases all waiters.
-    BarrierRelease {
-        /// The barrier.
-        barrier: BarrierId,
-    },
-    /// Combining-tree barrier: an interior node's upward report that every
-    /// member of `arrived` has reached the barrier. Sent to the node's
-    /// current tree parent once its own arrival plus all of its live
-    /// children's reports are in. Carries the full arrived set (not a count)
-    /// so re-sends after a re-parent merge idempotently at the new parent.
-    BarrierCombine {
-        /// The barrier.
-        barrier: BarrierId,
-        /// The reporting subtree root.
+        /// The reporting node (the root of the covered subtree).
         from: NodeId,
         /// The barrier episode this report belongs to: the sender's
         /// completed-episode count plus one. A receiver that has already
         /// finished that episode answers with a direct
-        /// [`DsmMsg::BarrierTreeRelease`] instead of re-counting.
+        /// [`DsmMsg::BarrierRelease`] instead of re-counting.
         gen: u64,
         /// Every node in the sender's subtree known to have arrived
         /// (including the sender itself).
         arrived: NodeSet,
     },
-    /// Combining-tree barrier: the downward release, forwarded along the
-    /// tree edges from the owner. Each interior node re-forwards to its
-    /// children and then routes a plain [`DsmMsg::BarrierRelease`] to its
-    /// own user thread, so the waiting side is identical for flat and tree
-    /// barriers.
-    BarrierTreeRelease {
+    /// A barrier release travelling down the tree edges from the owner.
+    /// Each receiver re-forwards it to its own children and then hands it
+    /// to its waiting user thread.
+    BarrierRelease {
         /// The barrier.
         barrier: BarrierId,
-        /// The episode being released (matches the triggering combine's
+        /// The episode being released (matches the triggering report's
         /// `gen`); duplicates for already-completed episodes are dropped.
         gen: u64,
     },
@@ -468,8 +461,6 @@ impl DsmMsg {
             DsmMsg::LockGrant { .. } => "lock_grant",
             DsmMsg::BarrierArrive { .. } => "barrier_arrive",
             DsmMsg::BarrierRelease { .. } => "barrier_release",
-            DsmMsg::BarrierCombine { .. } => "barrier_combine",
-            DsmMsg::BarrierTreeRelease { .. } => "barrier_tree_release",
             DsmMsg::WorkerDone { .. } => "worker_done",
             DsmMsg::Shutdown => "shutdown",
             // A carrier is classed as the message it frames, so per-class
@@ -518,11 +509,10 @@ impl DsmMsg {
             DsmMsg::ReduceReply { old } => old.len() as u64,
             DsmMsg::LockAcquire { .. } => 8,
             DsmMsg::LockGrant { queue, .. } => 8 + 4 * queue.len() as u64,
-            DsmMsg::BarrierArrive { .. } | DsmMsg::BarrierRelease { .. } => 8,
             // Barrier id + from + gen, plus the arrived bitmap (only the
             // words up to the highest set bit travel).
-            DsmMsg::BarrierCombine { arrived, .. } => 16 + 8 * arrived.word_span() as u64,
-            DsmMsg::BarrierTreeRelease { .. } => 12,
+            DsmMsg::BarrierArrive { arrived, .. } => 16 + 8 * arrived.word_span() as u64,
+            DsmMsg::BarrierRelease { .. } => 12,
             DsmMsg::WorkerDone { .. } | DsmMsg::Shutdown => 4,
             // One header for the whole frame: the inner message and every
             // piggybacked bundle share it — that is the wire saving the
@@ -587,7 +577,6 @@ impl DsmMsg {
                 | DsmMsg::OwnerCopysetReply { .. }
                 | DsmMsg::ReduceReply { .. }
                 | DsmMsg::LockGrant { .. }
-                | DsmMsg::BarrierRelease { .. }
                 | DsmMsg::Shutdown
         )
     }
@@ -691,6 +680,8 @@ mod tests {
         let arrive = DsmMsg::BarrierArrive {
             barrier: BarrierId(0),
             from: NodeId::new(3),
+            gen: 1,
+            arrived: crate::nodeset::NodeSet::from_nodes([NodeId::new(3)]),
         };
         assert!(arrive.model_bytes() <= 64);
         let grant = DsmMsg::LockGrant {
@@ -763,6 +754,8 @@ mod tests {
         let arrive = DsmMsg::BarrierArrive {
             barrier: BarrierId(0),
             from: NodeId::new(1),
+            gen: 1,
+            arrived: crate::nodeset::NodeSet::from_nodes([NodeId::new(1)]),
         };
         let hop1 = DsmMsg::Carrier {
             inner: Some(Box::new(arrive.clone())),
@@ -782,6 +775,7 @@ mod tests {
         // CarrierUpdate (8 bytes of from/seq framing + 8 per item + payload).
         let release = DsmMsg::BarrierRelease {
             barrier: BarrierId(0),
+            gen: 1,
         };
         let hop2 = DsmMsg::Carrier {
             inner: Some(Box::new(release.clone())),
@@ -844,21 +838,21 @@ mod tests {
     }
 
     #[test]
-    fn tree_barrier_messages_are_service_requests_with_pinned_sizes() {
+    fn barrier_messages_are_service_requests_with_pinned_sizes() {
         use crate::nodeset::NodeSet;
-        let combine = DsmMsg::BarrierCombine {
+        let arrive = DsmMsg::BarrierArrive {
             barrier: BarrierId(0),
             from: NodeId::new(9),
             gen: 1,
             arrived: NodeSet::from_nodes([NodeId::new(9), NodeId::new(10)]),
         };
         // 16 bytes of framing + one 8-byte bitmap word for nodes < 64.
-        assert_eq!(combine.model_bytes(), HEADER_BYTES + 16 + 8);
-        assert_eq!(combine.class(), "barrier_combine");
-        assert!(!combine.is_user_reply());
+        assert_eq!(arrive.model_bytes(), HEADER_BYTES + 16 + 8);
+        assert_eq!(arrive.class(), "barrier_arrive");
+        assert!(!arrive.is_user_reply());
 
         // A 256-node subtree report still ships only 4 bitmap words.
-        let wide = DsmMsg::BarrierCombine {
+        let wide = DsmMsg::BarrierArrive {
             barrier: BarrierId(0),
             from: NodeId::new(0),
             gen: 1,
@@ -866,15 +860,14 @@ mod tests {
         };
         assert_eq!(wide.model_bytes(), HEADER_BYTES + 16 + 8 * 4);
 
-        let release = DsmMsg::BarrierTreeRelease {
+        let release = DsmMsg::BarrierRelease {
             barrier: BarrierId(0),
             gen: 1,
         };
         assert_eq!(release.model_bytes(), HEADER_BYTES + 12);
-        assert_eq!(release.class(), "barrier_tree_release");
-        // The tree release is forwarded by the service loop, which routes a
-        // plain BarrierRelease to its own user thread; only that one is a
-        // user reply.
+        assert_eq!(release.class(), "barrier_release");
+        // The service loop forwards a release down the tree before handing
+        // it to its own user thread, so it is a request, not a user reply.
         assert!(!release.is_user_reply());
     }
 

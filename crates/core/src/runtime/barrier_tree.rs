@@ -1,30 +1,32 @@
-//! Hierarchical combining-tree barriers.
+//! Owner-collected barriers over a combining tree.
 //!
-//! Flat barriers funnel N−1 `BarrierArrive`s into one owner and fan N
-//! releases back out — O(N) ingress at a single node per episode, which is
-//! the first thing that stops scaling past a few dozen nodes. The tree path
-//! spreads both directions over a static k-ary tree (see
+//! Every barrier runs over a static k-ary tree rooted at its owner (see
 //! [`TreeTopology`]): arrivals combine upward (each interior node merges its
-//! children's reports into one [`DsmMsg::BarrierCombine`]), releases fan
-//! back down ([`DsmMsg::BarrierTreeRelease`]), and no node ever receives
-//! more than k + 1 barrier messages per episode.
+//! children's reports into one [`DsmMsg::BarrierArrive`]), releases fan back
+//! down ([`DsmMsg::BarrierRelease`]), and no node ever receives more than
+//! k + 1 barrier messages per episode. With k ≥ N − 1 the tree is a single
+//! level and this is the paper's barrier: every node reports straight to the
+//! owner, which releases everyone. The owner's own arrival and release are
+//! local — neither is a message.
 //!
 //! The carrier layer's barrier-relay optimization rides the tree hops: a
 //! node's flush bundles are stashed locally at arrival, bundles whose
-//! destination lies outside its static subtree ride its upward combine, and
+//! destination lies outside its static subtree ride its upward report, and
 //! each downward release carries the bundles destined for the covered
 //! subtree. Every bundle is installed at its destination before the release
-//! that frames it is routed to the user thread — the same
-//! install-before-dispatch anchor as the flat path.
+//! that frames it is routed to the user thread.
 //!
 //! Crash handling: the static tree never changes, but reporting edges do. A
 //! node whose static ancestor dies re-reports to the nearest *live* static
 //! ancestor, which records it as a dynamic child (releases retrace exactly
 //! the dynamic edges). A report that lands after its episode already
-//! completed is answered with a direct recovery release. Tree mode with the
-//! failure detector enabled flushes eagerly (`FlushMode::Immediate`), so a
-//! dying interior node can never take relayed bundles down with it.
+//! completed is answered with a direct recovery release. With the failure
+//! detector enabled, trees deeper than one level flush eagerly
+//! (`FlushMode::Immediate`), so a dying interior node can never take relayed
+//! bundles down with it; a single-level tree parks bundles only at the
+//! owner, whose death ends the run anyway, so it keeps the relay.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use munin_sim::{Envelope, NodeId, VirtTime};
@@ -32,65 +34,40 @@ use munin_sim::{Envelope, NodeId, VirtTime};
 use crate::msg::{CarrierUpdate, DsmMsg, RelayUpdate, UpdateItem};
 use crate::nodeset::NodeSet;
 use crate::stats::{add, bump};
-use crate::sync::{BarrierId, TreeTopology};
+use crate::sync::{BarrierId, BarrierStep};
 
 use super::NodeRuntime;
 
-/// What an advance pass decided to do, computed under the sync lock and
-/// acted on outside it (sends never happen while holding the lock).
-enum Advance {
-    /// Nothing to do: the subtree is incomplete, or nothing grew since the
-    /// last upward report.
-    Hold,
-    /// Interior/leaf: forward the merged arrived set to the live parent.
-    Combine {
-        gen: u64,
-        arrived: NodeSet,
-        subtree: NodeSet,
-    },
-    /// Owner: every live node has arrived — open the episode.
-    Open {
-        gen: u64,
-        children: Vec<(NodeId, NodeSet)>,
-    },
+/// Flattens stashed bundles into the relay list of a carrier frame.
+fn relay_list(stashed: Vec<(NodeId, Vec<CarrierUpdate>)>) -> Vec<RelayUpdate> {
+    stashed
+        .into_iter()
+        .flat_map(|(dest, bundles)| {
+            bundles.into_iter().map(move |b| RelayUpdate {
+                dest,
+                from: b.from,
+                seq: b.seq,
+                items: b.items,
+            })
+        })
+        .collect()
 }
 
 impl NodeRuntime {
-    /// The combining-tree topology for `barrier`, or `None` when the barrier
-    /// runs flat (partial-party barriers, clusters below the auto threshold,
-    /// or an explicit `MUNIN_BARRIER_FANOUT=flat`). Every node derives the
-    /// same answer from shared configuration — no coordination.
-    pub(crate) fn tree_topology(&self, barrier: BarrierId) -> Option<TreeTopology> {
-        let (owner, parties) = {
-            let sync = self.sync.lock();
-            if sync.barrier_count() <= barrier.0 as usize {
-                return None;
-            }
-            let b = sync.barrier(barrier);
-            (b.owner, b.parties)
-        };
-        if parties != self.nodes || self.nodes < 2 {
-            return None;
-        }
-        let fanout = self.cfg.effective_barrier_fanout()?;
-        Some(TreeTopology::new(owner, self.nodes, fanout))
-    }
-
-    /// The user thread's tree-mode arrival: stash this node's own flush
-    /// bundles, record the arrival, and advance (which sends the upward
-    /// combine — or opens the barrier — if this completed the subtree).
-    pub(crate) fn tree_arrive_local(
+    /// The user thread's arrival: stash this node's own flush bundles,
+    /// record the arrival, and advance (which sends the upward report — or
+    /// opens the barrier — if this completed the subtree).
+    pub(crate) fn barrier_arrive_local(
         self: &Arc<Self>,
         barrier: BarrierId,
-        topo: &TreeTopology,
-        relay: std::collections::BTreeMap<NodeId, Vec<UpdateItem>>,
+        relay: BTreeMap<NodeId, Vec<UpdateItem>>,
     ) {
         if !relay.is_empty() {
             // Every bundle is stashed locally first; the advance below
-            // extracts the ones leaving this subtree onto the combine. Each
+            // extracts the ones leaving this subtree onto the report. Each
             // takes its slot in this node's update stream to `dest` *now*,
             // so later direct updates can never be overtaken by a bundle's
-            // slower multi-hop route (same argument as the flat relay).
+            // slower relayed route.
             let staged: Vec<(NodeId, CarrierUpdate)> = relay
                 .into_iter()
                 .map(|(dest, items)| {
@@ -110,76 +87,34 @@ impl NodeRuntime {
                 outbox.stash_relay(barrier, dest, bundle);
             }
         }
-        {
-            let mut sync = self.sync.lock();
-            let own = self.node;
-            sync.tree_barrier_mut(barrier).arrived.insert(own);
-        }
-        self.tree_advance(barrier, topo, None);
+        self.sync
+            .lock()
+            .barrier_mut(barrier)
+            .arrived
+            .insert(self.node);
+        self.barrier_advance(barrier, None);
     }
 
-    /// Checks completeness and acts: forwards a combine upward, or — at the
-    /// owner — opens the episode. Idempotent and safe to call from the user
-    /// thread (`at == None`), the service thread (`at == Some(arrival)`),
-    /// and crash recovery; the `forwarded_count` guard keeps duplicate
-    /// triggers from duplicating upward traffic.
-    fn tree_advance(
-        self: &Arc<Self>,
-        barrier: BarrierId,
-        topo: &TreeTopology,
-        at: Option<VirtTime>,
-    ) {
+    /// Acts on [`BarrierState::step`](crate::sync::BarrierState::step):
+    /// forwards a report upward, or — at the owner — opens the episode. Safe
+    /// to call from the user thread (`at == None`), the service thread
+    /// (`at == Some(arrival)`), and crash recovery.
+    fn barrier_advance(self: &Arc<Self>, barrier: BarrierId, at: Option<VirtTime>) {
         let dead = self.dead_set();
-        let decision = {
+        let (step, subtree) = {
             let mut sync = self.sync.lock();
-            let t = sync.tree_barrier_mut(barrier);
-            let subtree = t
-                .subtree
-                .get_or_insert_with(|| topo.subtree_of(self.node))
-                .clone();
-            let mut needed = subtree.clone();
-            needed.difference_with(&dead);
-            // This node is in its own `needed`, so nothing happens before
-            // its own user thread arrives.
-            if !t.arrived.is_superset_of(&needed) {
-                Advance::Hold
-            } else if topo.owner == self.node {
-                let gen = t.completed + 1;
-                let children = std::mem::take(&mut t.children);
-                t.reset_episode(gen);
-                // Mirror the episode count into the flat state so tools that
-                // read `BarrierState::generation` see the same history.
-                sync.barrier_mut(barrier).generation = gen;
-                Advance::Open { gen, children }
-            } else if t.arrived.count() > t.forwarded_count {
-                t.forwarded_count = t.arrived.count();
-                Advance::Combine {
-                    gen: t.completed + 1,
-                    arrived: t.arrived.clone(),
-                    subtree,
-                }
-            } else {
-                Advance::Hold
-            }
+            let b = sync.barrier_mut(barrier);
+            (b.step(self.node, &dead), b.subtree.clone())
         };
-        match decision {
-            Advance::Hold => {}
-            Advance::Combine {
+        match step {
+            BarrierStep::Hold => {}
+            BarrierStep::Report {
+                parent,
                 gen,
                 arrived,
-                subtree,
             } => {
-                // A dead static parent is skipped: the report re-parents to
-                // the nearest live ancestor. None means the owner is dead —
-                // the waiting user thread surfaces `NodeDown`.
-                let Some(parent) = topo.live_parent_of(self.node, &dead) else {
-                    return;
-                };
-                let outgoing = {
-                    let mut outbox = self.outbox.lock();
-                    outbox.take_relay_outside(barrier, &subtree)
-                };
-                let combine = DsmMsg::BarrierCombine {
+                let outgoing = self.outbox.lock().take_relay_outside(barrier, &subtree);
+                let arrive = DsmMsg::BarrierArrive {
                     barrier,
                     from: self.node,
                     gen,
@@ -187,27 +122,16 @@ impl NodeRuntime {
                 };
                 crate::runtime::proto_trace!(
                     self,
-                    "combine barrier {} gen {gen} up to {parent:?}",
+                    "report barrier {} gen {gen} up to {parent:?}",
                     barrier.0
                 );
                 let msg = if outgoing.is_empty() {
-                    combine
+                    arrive
                 } else {
-                    let relay = outgoing
-                        .into_iter()
-                        .flat_map(|(dest, bundles)| {
-                            bundles.into_iter().map(move |b| RelayUpdate {
-                                dest,
-                                from: b.from,
-                                seq: b.seq,
-                                items: b.items,
-                            })
-                        })
-                        .collect();
                     DsmMsg::Carrier {
-                        inner: Some(Box::new(combine)),
+                        inner: Some(Box::new(arrive)),
                         updates: Vec::new(),
-                        relay,
+                        relay: relay_list(outgoing),
                     }
                 };
                 let _ = match at {
@@ -215,13 +139,21 @@ impl NodeRuntime {
                     Some(t) => self.send_service(parent, msg, t + self.cost.sync_op()),
                 };
             }
-            Advance::Open { gen, children } => {
+            BarrierStep::Open { gen, children } => {
                 crate::runtime::proto_trace!(self, "barrier {} gen {gen} opens", barrier.0);
                 let now = at.unwrap_or_else(|| self.clock.now());
-                self.tree_release_children(barrier, gen, children, now);
-                // The owner's own release takes the flat self-release path,
-                // so message accounting matches episode for episode.
-                self.release_barrier_waiters(barrier, vec![self.node], now);
+                self.release_children(barrier, gen, children, now);
+                // The owner's own release is local: straight to its user
+                // thread, like a received release at any other node.
+                let env = Envelope {
+                    src: self.node,
+                    dst: self.node,
+                    class: "barrier_release",
+                    model_bytes: 0,
+                    sent_at: now,
+                    arrival: now,
+                };
+                self.route_to_user(env, DsmMsg::BarrierRelease { barrier, gen });
             }
         }
     }
@@ -229,7 +161,7 @@ impl NodeRuntime {
     /// Fans the release down one level: each dynamic child's release carries
     /// the bundles destined for itself (plus this node's coalesced items)
     /// and re-relays the bundles destined for the rest of its covered set.
-    fn tree_release_children(
+    fn release_children(
         self: &Arc<Self>,
         barrier: BarrierId,
         gen: u64,
@@ -237,9 +169,6 @@ impl NodeRuntime {
         now: VirtTime,
     ) {
         for (child, covered) in children {
-            if self.is_peer_dead(child) {
-                continue;
-            }
             let (mut updates, stashed) = {
                 let mut outbox = self.outbox.lock();
                 (
@@ -257,25 +186,14 @@ impl NodeRuntime {
                     sync_install: false,
                 });
             }
-            let relay: Vec<RelayUpdate> = stashed
-                .into_iter()
-                .flat_map(|(dest, bundles)| {
-                    bundles.into_iter().map(move |b| RelayUpdate {
-                        dest,
-                        from: b.from,
-                        seq: b.seq,
-                        items: b.items,
-                    })
-                })
-                .collect();
-            let release = DsmMsg::BarrierTreeRelease { barrier, gen };
-            let msg = if updates.is_empty() && relay.is_empty() {
+            let release = DsmMsg::BarrierRelease { barrier, gen };
+            let msg = if updates.is_empty() && stashed.is_empty() {
                 release
             } else {
                 DsmMsg::Carrier {
                     inner: Some(Box::new(release)),
                     updates,
-                    relay,
+                    relay: relay_list(stashed),
                 }
             };
             let _ = self.send_service(child, msg, now + self.cost.sync_op());
@@ -283,7 +201,7 @@ impl NodeRuntime {
     }
 
     /// Handles an upward report (service thread).
-    pub(crate) fn handle_barrier_combine(
+    pub(crate) fn handle_barrier_report(
         self: &Arc<Self>,
         env: Envelope,
         barrier: BarrierId,
@@ -292,106 +210,74 @@ impl NodeRuntime {
         arrived: NodeSet,
     ) {
         self.charge_sys(self.cost.sync_op());
-        let Some(topo) = self.tree_topology(barrier) else {
-            // A combine at a node whose configuration says "flat" means the
-            // cluster disagrees about the topology — loud, not silent.
-            bump(&self.stats.runtime_errors);
-            debug_assert!(false, "BarrierCombine received with tree mode off");
-            return;
-        };
-        if topo.owner == self.node {
-            bump(&self.stats.barrier_owner_ingress);
-        }
-        let stale = {
+        let fresh = {
             let mut sync = self.sync.lock();
-            let t = sync.tree_barrier_mut(barrier);
-            if gen <= t.completed {
-                true
-            } else {
-                if gen > t.completed + 1 {
-                    // An episode from the future can only mean lost state;
-                    // merge leniently so the run can limp to a diagnosis.
-                    bump(&self.stats.runtime_errors);
-                    debug_assert!(false, "combine for episode {gen} > {} + 1", t.completed);
-                }
-                t.merge_report(from, &arrived);
-                false
+            let b = sync.barrier_mut(barrier);
+            if b.topo.owner == self.node {
+                bump(&self.stats.barrier_owner_ingress);
             }
+            b.receive_report(from, gen, &arrived)
         };
-        if stale {
+        if !fresh {
             // The sender missed this episode's release (its parent died
             // between absorbing its report and forwarding the release).
-            // Answer directly; a plain message is safe because tree mode
-            // with the detector on never relays bundles.
+            // Answer directly with a plain release. Nothing relayed can be
+            // owed to it: deep trees under the failure detector never relay,
+            // and in a single-level tree the only parent is the owner, whose
+            // death ends the run — there a stale report is a duplicate of one
+            // whose release already went out.
             crate::runtime::proto_trace!(
                 self,
-                "stale combine gen {gen} from {from:?}; releasing directly"
+                "stale report gen {gen} from {from:?}; releasing directly"
             );
             let _ = self.send_service(
                 from,
-                DsmMsg::BarrierTreeRelease { barrier, gen },
+                DsmMsg::BarrierRelease { barrier, gen },
                 env.arrival + self.cost.sync_op(),
             );
             return;
         }
-        self.tree_advance(barrier, &topo, Some(env.arrival));
+        self.barrier_advance(barrier, Some(env.arrival));
     }
 
     /// Handles a downward release (service thread): re-forward to dynamic
-    /// children, reset the episode, and route the plain release to this
-    /// node's own waiting user thread.
-    pub(crate) fn handle_barrier_tree_release(
+    /// children, close the episode, and hand the release to this node's own
+    /// waiting user thread.
+    pub(crate) fn handle_barrier_release(
         self: &Arc<Self>,
         env: Envelope,
         barrier: BarrierId,
         gen: u64,
     ) {
         self.charge_sys(self.cost.sync_op());
-        let children = {
-            let mut sync = self.sync.lock();
-            let t = sync.tree_barrier_mut(barrier);
-            if gen <= t.completed {
-                // A duplicate (crash-recovery re-send); already released.
-                return;
-            }
-            if gen > t.completed + 1 {
-                bump(&self.stats.runtime_errors);
-                debug_assert!(false, "release for episode {gen} > {} + 1", t.completed);
-            }
-            let children = std::mem::take(&mut t.children);
-            t.reset_episode(gen);
-            children
-        };
-        self.tree_release_children(barrier, gen, children, env.arrival);
-        // The received release IS this node's release — no extra wire
-        // message, just the hand-off to the parked user thread.
-        self.route_to_user(env, DsmMsg::BarrierRelease { barrier });
+        let dead = self.dead_set();
+        let children = self
+            .sync
+            .lock()
+            .barrier_mut(barrier)
+            .receive_release(gen, &dead);
+        // `None` is a duplicate (crash-recovery re-send): already released.
+        if let Some(children) = children {
+            self.release_children(barrier, gen, children, env.arrival);
+            self.route_to_user(env, DsmMsg::BarrierRelease { barrier, gen });
+        }
     }
 
-    /// Re-evaluates every tree barrier after `dead` is confirmed gone.
-    /// Called from crash recovery (and defensively from the waiting user
-    /// thread, which may observe the death before recovery finishes).
-    ///
-    /// Two distinct effects:
-    /// * `dead` was a static *ancestor*: it may have swallowed this node's
-    ///   report without forwarding it. Resetting `forwarded_count` makes the
-    ///   advance re-send the merged report — to the nearest live ancestor,
-    ///   since `live_parent_of` now skips the corpse. Re-sends merge
-    ///   idempotently, so over-sending is safe and under-sending is not.
-    /// * `dead` was in this node's subtree (or anywhere, at the owner): its
-    ///   removal from `needed` may complete the subtree right now.
-    pub(crate) fn tree_handle_death(self: &Arc<Self>, dead: NodeId) {
-        let barriers = { self.sync.lock().barrier_count() };
+    /// Re-evaluates every barrier after `dead` is confirmed gone. Called
+    /// from crash recovery (and defensively from the waiting user thread,
+    /// which may observe the death before recovery finishes). A dead
+    /// reporting ancestor means this node's merged report must re-parent to
+    /// a live one; a dead subtree member (anywhere, at the owner) may
+    /// complete the subtree right now.
+    pub(crate) fn barrier_handle_death(self: &Arc<Self>, dead: NodeId) {
+        let barriers = self.sync.lock().barrier_count();
         for i in 0..barriers {
             let barrier = BarrierId(i as u32);
-            let Some(topo) = self.tree_topology(barrier) else {
-                continue;
-            };
-            if topo.owner != self.node && topo.is_ancestor_of(dead, self.node) {
-                let mut sync = self.sync.lock();
-                sync.tree_barrier_mut(barrier).forwarded_count = 0;
-            }
-            self.tree_advance(barrier, &topo, Some(self.clock.now()));
+            self.sync
+                .lock()
+                .barrier_mut(barrier)
+                .note_death(self.node, dead);
+            self.barrier_advance(barrier, Some(self.clock.now()));
         }
     }
 }

@@ -448,6 +448,10 @@ impl NodeRuntime {
                 ev.peer = Some(owner_hint);
             },
         );
+        // Mark the fetch as awaited *before* sending: the service thread
+        // consumes this when routing the reply (see `route_to_user`).
+        self.waiting_fetch
+            .store(object.as_u32() + 1, std::sync::atomic::Ordering::Release);
         self.send(
             owner_hint,
             DsmMsg::ObjectFetch {
@@ -560,6 +564,7 @@ impl NodeRuntime {
                 DsmMsg::CopysetQuery {
                     objects: std::sync::Arc::clone(&shared),
                     requester: self.node,
+                    recovery: true,
                 },
             )?;
         }

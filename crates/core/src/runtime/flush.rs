@@ -66,13 +66,16 @@ pub(crate) enum FlushMode {
     /// items are buffered in the outbox and merged into a later
     /// transmission; everything else is sent immediately.
     Coalesce,
-    /// Release at an all-node barrier owned by `owner`: owner-flushed
-    /// fan-out items (and `result` flushes homed at the owner) are returned
-    /// to the caller to ride the `BarrierArrive` carrier, from which the
-    /// owner re-attaches them to the matching releases.
+    /// Release at a barrier owned by `owner`: owner-flushed fan-out items
+    /// (and `result` flushes homed at the owner) are returned to the caller
+    /// to ride the barrier's tree traffic — up on `BarrierArrive` reports,
+    /// down on the matching `BarrierRelease`s.
     BarrierRelay {
-        /// The barrier owner the arrive is headed to.
+        /// The barrier owner (the tree root).
         owner: NodeId,
+        /// The flusher's live tree parent (`None` at the owner): the one
+        /// destination a relayed bundle reaches in a single wire transit.
+        parent: Option<NodeId>,
     },
     /// Lock release with a known next holder: owner-flushed fan-out items
     /// destined for the grantee ride the `LockGrant` carrier instead of a
@@ -126,7 +129,7 @@ fn classify(mode: FlushMode, route: &FlushRoute, dest: NodeId) -> Dispatch {
         // before counting the arrival, which is at least as early as the
         // legacy apply-then-ack).
         match mode {
-            FlushMode::BarrierRelay { owner } if dest == owner => Dispatch::Relay,
+            FlushMode::BarrierRelay { owner, .. } if dest == owner => Dispatch::Relay,
             _ => Dispatch::Immediate,
         }
     }
@@ -296,18 +299,19 @@ impl NodeRuntime {
         // Owner-cooperative bundles, keyed by the owner they ship to.
         let mut coop: BTreeMap<NodeId, Vec<UpdateItem>> = BTreeMap::new();
         // Adaptive relay: a barrier-relayed payload bound for anyone but the
-        // barrier owner transits the wire twice (flusher → owner →
-        // destination). At or above the configured size threshold the byte
-        // doubling outweighs the saved message, so the payload goes direct
-        // as an ordinary sequenced update instead. Owner-bound bundles and
-        // lock-relay bundles ride single-transit and are never bypassed.
-        // Charges the bypass stats as a side effect, so call it only at a
-        // real dispatch decision.
+        // flusher's tree parent transits the wire at least twice (up to a
+        // common ancestor, then down to the destination). At or above the
+        // configured size threshold the byte multiplication outweighs the
+        // saved message, so the payload goes direct as an ordinary
+        // sequenced update instead. Parent-bound bundles (the owner, in a
+        // single-level tree) and lock-relay bundles ride single-transit and
+        // are never bypassed. Charges the bypass stats as a side effect, so
+        // call it only at a real dispatch decision.
         let bypass = |rt: &Arc<Self>, dest: NodeId, bytes: u64| -> bool {
-            let FlushMode::BarrierRelay { owner } = mode else {
+            let FlushMode::BarrierRelay { parent, .. } = mode else {
                 return false;
             };
-            if dest == owner || bytes < rt.cfg.relay_max_bytes {
+            if Some(dest) == parent || bytes < rt.cfg.relay_max_bytes {
                 return false;
             }
             add(&rt.stats.relay_bypassed_bytes, bytes);
@@ -878,6 +882,7 @@ impl NodeRuntime {
                 DsmMsg::CopysetQuery {
                     objects: Arc::clone(&shared),
                     requester: self.node,
+                    recovery: false,
                 },
             )?;
         }

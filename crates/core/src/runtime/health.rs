@@ -24,8 +24,9 @@
 //!   surviving replica holder (deterministic: every survivor picks the same
 //!   node without coordination);
 //! * lock tokens last seen heading towards the corpse are regenerated at
-//!   the lock's home, and barriers owned here exclude the dead node from
-//!   their arrival counts, releasing waiters the corpse was holding up.
+//!   the lock's home, and every barrier stops waiting for the dead node —
+//!   re-parenting reports around it and releasing waiters the corpse was
+//!   holding up.
 //!
 //! Blocked user threads observe deaths through [`NodeRuntime::wait_reply_or_dead`],
 //! which surfaces the internal [`MuninError::PeerDied`] signal; each call
@@ -52,7 +53,7 @@ use crate::msg::DsmMsg;
 use crate::nodeset::NodeSet;
 use crate::object::ObjectId;
 use crate::stats::bump;
-use crate::sync::{BarrierId, LockId};
+use crate::sync::LockId;
 
 use super::{NodeRuntime, WaitOp, WATCHDOG_SLICE};
 
@@ -490,10 +491,7 @@ impl NodeRuntime {
         }
         // Sync walk: lock tokens last seen heading towards the corpse are
         // regenerated at the lock's home (orphaned waiters re-send their
-        // acquires there); barriers owned here exclude the dead node from
-        // the arrival count, releasing waiters it was holding up. Release
-        // sends happen outside the sync lock.
-        let mut barrier_releases: Vec<(BarrierId, Vec<NodeId>)> = Vec::new();
+        // acquires there).
         {
             let mut sync = self.sync.lock();
             for i in 0..sync.lock_count() {
@@ -512,26 +510,11 @@ impl NodeRuntime {
                     );
                 }
             }
-            for i in 0..sync.barrier_count() {
-                let id = BarrierId(i as u32);
-                let b = sync.barrier_mut(id);
-                if b.owner == self.node {
-                    if let Some(waiters) = b.exclude(dead) {
-                        barrier_releases.push((id, waiters));
-                    }
-                }
-            }
         }
-        let now = self.clock.now();
-        for (id, waiters) in barrier_releases {
-            crate::runtime::proto_trace!(self, "barrier {} opens on exclusion of {dead:?}", id.0);
-            self.release_barrier_waiters(id, waiters, now);
-        }
-        // Tree barriers re-evaluate on every node: a dead reporting ancestor
+        // Barriers re-evaluate on every node: a dead reporting ancestor
         // means this node's merged report must re-parent to a live one, and
-        // a dead subtree member may complete the subtree right now.
-        if self.cfg.effective_barrier_fanout().is_some() {
-            self.tree_handle_death(dead);
-        }
+        // a dead subtree member may complete the subtree (or, at the owner,
+        // open the barrier for the waiters it was holding up) right now.
+        self.barrier_handle_death(dead);
     }
 }

@@ -249,6 +249,12 @@ pub struct NodeRuntime {
     /// crash-recovery re-acquire raced the original grant — is absorbed
     /// into the sync state instead of poisoning the reply mailbox.
     waiting_grant: std::sync::atomic::AtomicU32,
+    /// The object id (+1) the user thread is blocked fetching, or 0; the
+    /// `waiting_grant` analogue for `ObjectData`. Crash recovery may re-ask
+    /// another holder while the original fetch is still alive, so a read
+    /// fetch can be answered twice; the copy nobody is waiting for is
+    /// absorbed instead of poisoning the next wait (see `route_to_user`).
+    waiting_fetch: std::sync::atomic::AtomicU32,
 }
 
 impl NodeRuntime {
@@ -260,7 +266,7 @@ impl NodeRuntime {
         cfg: Arc<MuninConfig>,
         table: Arc<SharedDataTable>,
         lock_homes: Vec<NodeId>,
-        barriers: Vec<(NodeId, usize)>,
+        barrier_owners: Vec<NodeId>,
         clock: NodeClock,
         cost: Arc<CostModel>,
         sender: Sender<DsmMsg>,
@@ -269,7 +275,13 @@ impl NodeRuntime {
         let (done_tx, done_rx) = channel::unbounded();
         let home = NodeId::new(0);
         let dir = Directory::from_table(&table, home, cfg.annotation_override);
-        let sync = SyncDirectory::new(node, &lock_homes, &barriers);
+        let sync = SyncDirectory::new(
+            node,
+            &lock_homes,
+            &barrier_owners,
+            nodes,
+            cfg.barrier_fanout,
+        );
         // Built cyclically: the VM-trap fault callback needs a handle back to
         // this runtime to route traps into the fault protocol. No faults can
         // occur before the `Arc` is complete (nothing has touched the
@@ -315,6 +327,7 @@ impl NodeRuntime {
                 done_tx,
                 done_rx,
                 waiting_grant: std::sync::atomic::AtomicU32::new(0),
+                waiting_fetch: std::sync::atomic::AtomicU32::new(0),
                 cfg,
                 table,
                 clock,
@@ -605,6 +618,26 @@ impl NodeRuntime {
                 }
                 let _ = self.reply_tx.send((env, DsmMsg::LockGrant { lock, queue }));
                 return;
+            }
+            // A second read copy of an object the user thread already
+            // installed (the original fetch and a recovery re-ask both
+            // answered) is dropped: the first one satisfied the fault, and
+            // the server recorded this node in the copyset either way. An
+            // ownership transfer is always routed — dropping it would lose
+            // the object.
+            if let DsmMsg::ObjectData {
+                object, ownership, ..
+            } = &msg
+            {
+                use std::sync::atomic::Ordering;
+                let expected = self
+                    .waiting_fetch
+                    .compare_exchange(object.as_u32() + 1, 0, Ordering::AcqRel, Ordering::Acquire)
+                    .is_ok();
+                if !expected && !ownership {
+                    proto_trace!(self, "absorb duplicate read copy of {object:?}");
+                    return;
+                }
             }
         }
         // The user thread may already have exited (e.g. after a runtime

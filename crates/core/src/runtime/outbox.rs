@@ -13,10 +13,11 @@
 //! * **Piggybacking** — pending items for a destination are attached to any
 //!   protocol message already headed there (lock grants, barrier releases,
 //!   copyset replies, update acks), framed by [`crate::msg::DsmMsg::Carrier`].
-//! * **Barrier relay** — at an all-node barrier the owner stashes the update
-//!   bundles that rode in on `BarrierArrive` carriers and re-attaches each to
-//!   the `BarrierRelease` headed to its destination, so a release flush costs
-//!   no standalone update or ack messages at all.
+//! * **Barrier relay** — at a barrier, each tree node stashes the update
+//!   bundles that rode in on `BarrierArrive` reports (or were flushed
+//!   locally) and re-attaches each to the `BarrierRelease` headed towards
+//!   its destination, so a release flush costs no standalone update or ack
+//!   messages at all.
 //!
 //! The outbox is a leaf lock: it is never held while the directory, DUQ, or
 //! sync locks are taken. Only *owner-flushed* fan-out updates are ever
@@ -103,7 +104,8 @@ impl Outbox {
         }
     }
 
-    /// Stashes a relayed bundle at the barrier owner until the barrier trips.
+    /// Stashes a relayed bundle at this tree node until it moves on with a
+    /// report or a release.
     pub fn stash_relay(&mut self, barrier: BarrierId, dest: NodeId, bundle: CarrierUpdate) {
         self.relay.entry((barrier, dest)).or_default().push(bundle);
     }

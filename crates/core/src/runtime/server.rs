@@ -202,9 +202,11 @@ impl NodeRuntime {
             DsmMsg::RelayForward { items, origin, seq } => {
                 self.handle_relay_forward(env, items, origin, seq, now)
             }
-            DsmMsg::CopysetQuery { objects, requester } => {
-                self.handle_copyset_query(env, objects, requester)
-            }
+            DsmMsg::CopysetQuery {
+                objects,
+                requester,
+                recovery,
+            } => self.handle_copyset_query(env, objects, requester, recovery),
             DsmMsg::OwnerCopysetQuery { objects, requester } => {
                 self.handle_owner_copyset_query(objects, requester, now)
             }
@@ -217,17 +219,14 @@ impl NodeRuntime {
             DsmMsg::LockAcquire { lock, requester } => {
                 self.handle_lock_acquire(lock, requester, now)
             }
-            DsmMsg::BarrierArrive { barrier, from } => {
-                self.handle_barrier_arrive(barrier, from, now)
-            }
-            DsmMsg::BarrierCombine {
+            DsmMsg::BarrierArrive {
                 barrier,
                 from,
                 gen,
                 arrived,
-            } => self.handle_barrier_combine(env, barrier, from, gen, arrived),
-            DsmMsg::BarrierTreeRelease { barrier, gen } => {
-                self.handle_barrier_tree_release(env, barrier, gen)
+            } => self.handle_barrier_report(env, barrier, from, gen, arrived),
+            DsmMsg::BarrierRelease { barrier, gen } => {
+                self.handle_barrier_release(env, barrier, gen)
             }
             DsmMsg::Carrier {
                 inner,
@@ -274,9 +273,7 @@ impl NodeRuntime {
         // fault, which is exactly what blocks the bundle).
         let gates_acquire = matches!(
             inner.as_deref(),
-            Some(DsmMsg::LockGrant { .. })
-                | Some(DsmMsg::BarrierRelease { .. })
-                | Some(DsmMsg::BarrierTreeRelease { .. })
+            Some(DsmMsg::LockGrant { .. }) | Some(DsmMsg::BarrierRelease { .. })
         );
         if gates_acquire {
             let waiting = self.try_install_carrier_updates(env, updates);
@@ -296,14 +293,13 @@ impl NodeRuntime {
             self.install_carrier_updates(env, updates);
         }
         if !relay.is_empty() {
-            // Relays only ever ride barrier traffic — flat arrives, or the
-            // tree path's combines and releases (a bundle can transit
-            // several tree hops before reaching its destination). The
-            // barrier id keys the stash so overlapping episodes cannot mix.
+            // Relays only ever ride barrier traffic — reports up the tree
+            // and releases down it (a bundle can transit several tree hops
+            // before reaching its destination). The barrier id keys the
+            // stash so overlapping episodes cannot mix.
             let barrier = match inner.as_deref() {
                 Some(DsmMsg::BarrierArrive { barrier, .. })
-                | Some(DsmMsg::BarrierCombine { barrier, .. })
-                | Some(DsmMsg::BarrierTreeRelease { barrier, .. }) => Some(*barrier),
+                | Some(DsmMsg::BarrierRelease { barrier, .. }) => Some(*barrier),
                 _ => None,
             };
             for r in relay {
@@ -314,8 +310,9 @@ impl NodeRuntime {
                     sync_install: false,
                 };
                 if r.dest == self.node {
-                    // The owner's own share is installed now — before the
-                    // arrival below is counted. (If it has to defer, the trip
+                    // This node's own share (it rode a child's report up)
+                    // is installed now — before the report below is counted.
+                    // (If it has to defer, the trip
                     // still cannot release anyone ahead of the install: this
                     // node's own arrival is outstanding until its user thread
                     // clears the blocking state, and `process_deferred` runs
@@ -1299,11 +1296,15 @@ impl NodeRuntime {
     /// the answer is deferred until the fetch completes: answering "don't
     /// have" while the object data is in flight would let the flusher skip
     /// this node, whose just-fetched copy would then miss the update forever.
+    /// A crash-`recovery` query is answered at once instead: it asks who
+    /// still holds a copy *now*, and a survivor faulting on the same orphan
+    /// holds its entry busy while it waits for this node's own answer.
     fn handle_copyset_query(
         self: &Arc<Self>,
         env: Envelope,
         objects: std::sync::Arc<[ObjectId]>,
         requester: NodeId,
+        recovery: bool,
     ) {
         let now = env.arrival;
         // Busy check and "have" computation under ONE directory lock: a fetch
@@ -1311,15 +1312,20 @@ impl NodeRuntime {
         // answered "don't have".
         let have: Vec<ObjectId> = {
             let dir = self.dir.lock();
-            if objects.iter().any(|o| dir.entry(*o).state.busy) {
+            if !recovery && objects.iter().any(|o| dir.entry(*o).state.busy) {
                 // No virtual-time charge on a deferred attempt: retry counts
                 // are host-timing dependent. Re-queueing shares the same
                 // `Arc`-backed object list — no copy.
                 drop(dir);
                 crate::runtime::proto_trace!(self, "defer copyset query from {requester:?}");
-                self.deferred
-                    .lock()
-                    .push((env, DsmMsg::CopysetQuery { objects, requester }));
+                self.deferred.lock().push((
+                    env,
+                    DsmMsg::CopysetQuery {
+                        objects,
+                        requester,
+                        recovery,
+                    },
+                ));
                 return;
             }
             objects
@@ -1569,73 +1575,6 @@ impl NodeRuntime {
         }
         out
     }
-
-    /// Handles a barrier arrival at the owner node.
-    fn handle_barrier_arrive(
-        self: &Arc<Self>,
-        barrier: crate::sync::BarrierId,
-        from: NodeId,
-        now: munin_sim::VirtTime,
-    ) {
-        self.charge_sys(self.cost.sync_op());
-        bump(&self.stats.barrier_owner_ingress);
-        let released = {
-            let mut sync = self.sync.lock();
-            sync.barrier_mut(barrier).arrive(from)
-        };
-        if let Some(waiters) = released {
-            self.release_barrier_waiters(barrier, waiters, now);
-        }
-    }
-
-    /// Sends a barrier release to every waiter. Each release carries the
-    /// relayed flush bundles stashed for its destination (and any of this
-    /// node's own coalesced items), so the waiter installs every update it
-    /// is owed before its user thread resumes. Shared by the last-arrival
-    /// path and the crash-recovery exclusion path (a dead node's exclusion
-    /// can open the barrier for everyone still waiting).
-    pub(crate) fn release_barrier_waiters(
-        self: &Arc<Self>,
-        barrier: crate::sync::BarrierId,
-        waiters: Vec<NodeId>,
-        now: munin_sim::VirtTime,
-    ) {
-        for node in waiters {
-            if node != self.node && self.is_peer_dead(node) {
-                // An arrival recorded before its sender died: nothing to
-                // release there.
-                continue;
-            }
-            let mut updates = {
-                let mut outbox = self.outbox.lock();
-                outbox.take_relay(barrier, node)
-            };
-            if let Some((pending, seq)) = self.take_pending_with_seq(node) {
-                add(&self.stats.msgs_piggybacked, 1);
-                self.note_update_sent(&pending);
-                updates.push(CarrierUpdate {
-                    from: self.node,
-                    seq,
-                    items: pending,
-                    sync_install: false,
-                });
-            }
-            let release = DsmMsg::BarrierRelease { barrier };
-            if updates.is_empty() {
-                let _ = self.send_service(node, release, now + self.cost.sync_op());
-            } else {
-                let _ = self.send_service(
-                    node,
-                    DsmMsg::Carrier {
-                        inner: Some(Box::new(release)),
-                        updates,
-                        relay: Vec::new(),
-                    },
-                    now + self.cost.sync_op(),
-                );
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1685,7 +1624,7 @@ mod tests {
             cfg,
             table,
             vec![NodeId::new(0)],
-            vec![(NodeId::new(0), 2)],
+            vec![NodeId::new(0)],
             clock0,
             Arc::new(CostModel::fast_test()),
             tx0,
@@ -2064,33 +2003,17 @@ mod tests {
         assert!(matches!(reply, DsmMsg::LockGrant { .. }));
     }
 
-    /// A barrier-arrive carrier stashes relayed bundles at the owner and
-    /// re-attaches each to the release headed to its destination; the
-    /// owner's own share installs before the arrival is counted.
+    /// A one-level barrier relay: a report carrier's bundles are installed
+    /// at the owner (its own share) or stashed there, and each stashed
+    /// bundle rides the release headed to its destination — as does the
+    /// owner's own flush bundle, stashed at its local arrival.
     #[test]
     fn barrier_arrive_relay_is_redistributed_on_the_releases() {
         let h = harness();
         let ws = h.obj("ws");
         h.rt.install_object_bytes(ws, &[0u8; 32]);
         let b = crate::sync::BarrierId(0);
-        // Node 0 arrives first (no relay of its own).
-        h.rt.handle_request(
-            Envelope {
-                src: NodeId::new(0),
-                dst: NodeId::new(0),
-                class: "barrier_arrive",
-                model_bytes: 40,
-                sent_at: munin_sim::VirtTime::ZERO,
-                arrival: munin_sim::VirtTime::ZERO,
-            },
-            DsmMsg::BarrierArrive {
-                barrier: b,
-                from: NodeId::new(0),
-            },
-        );
-        // Node 1 arrives with a relay: one bundle for node 0 (the owner
-        // itself) and one for node 1 (its own release will carry it back —
-        // degenerate but legal).
+        // Node 1 reports with a relay bundle for node 0 (the owner itself).
         let d0 = diff::encode(&[7u8; 32], &[0u8; 32]);
         h.peer_tx
             .send(
@@ -2098,10 +2021,7 @@ mod tests {
                 "barrier_arrive",
                 96,
                 DsmMsg::Carrier {
-                    inner: Some(Box::new(DsmMsg::BarrierArrive {
-                        barrier: b,
-                        from: NodeId::new(1),
-                    })),
+                    inner: Some(Box::new(barrier_report(b, 1))),
                     updates: vec![],
                     relay: vec![RelayUpdate {
                         dest: NodeId::new(0),
@@ -2116,11 +2036,39 @@ mod tests {
             )
             .unwrap();
         h.pump();
-        // The owner's share was installed at arrive-processing time, before
-        // the trip.
+        // The owner's share was installed at report-processing time, before
+        // the barrier opened; nobody is released yet.
         assert_eq!(h.rt.object_bytes(ws), vec![7u8; 32]);
-        // Node 1's release is a plain BarrierRelease (nothing stashed for it).
-        assert!(matches!(h.peer_recv(), DsmMsg::BarrierRelease { .. }));
+        assert!(h.peer_rx.try_recv().unwrap().is_none());
+        // The owner arrives with a bundle of its own for node 1.
+        let d1 = diff::encode(&[9u8; 32], &[7u8; 32]);
+        let mut relay = std::collections::BTreeMap::new();
+        relay.insert(
+            NodeId::new(1),
+            vec![UpdateItem {
+                object: ws,
+                payload: UpdatePayload::Diff(d1),
+            }],
+        );
+        h.rt.barrier_arrive_local(b, relay);
+        match h.peer_recv() {
+            DsmMsg::Carrier {
+                inner: Some(inner),
+                updates,
+                relay,
+            } => {
+                assert!(matches!(*inner, DsmMsg::BarrierRelease { gen: 1, .. }));
+                assert_eq!(updates.len(), 1);
+                assert_eq!(updates[0].from, NodeId::new(0));
+                assert!(relay.is_empty());
+            }
+            other => panic!("expected a release carrier, got {other:?}"),
+        }
+        // The owner's own release went straight to its user thread, not on
+        // the wire.
+        let (_env, own) = h.rt.reply_rx.try_recv().unwrap();
+        assert!(matches!(own, DsmMsg::BarrierRelease { gen: 1, .. }));
+        assert!(h.rt_rx.try_recv().unwrap().is_none());
     }
 
     /// The cross-link reordering regression the update sequence stream
@@ -2166,6 +2114,7 @@ mod tests {
                 DsmMsg::Carrier {
                     inner: Some(Box::new(DsmMsg::BarrierRelease {
                         barrier: crate::sync::BarrierId(0),
+                        gen: 1,
                     })),
                     updates: vec![CarrierUpdate {
                         from: NodeId::new(1),
@@ -2252,6 +2201,7 @@ mod tests {
                 DsmMsg::CopysetQuery {
                     objects: vec![ro, ws].into(),
                     requester: NodeId::new(1),
+                    recovery: false,
                 },
             )
             .unwrap();
@@ -2260,6 +2210,43 @@ mod tests {
             DsmMsg::CopysetReply { have } => assert_eq!(have, vec![ro]),
             other => panic!("unexpected reply: {other:?}"),
         }
+    }
+
+    /// A flush's copyset query waits out a fetch in progress (the fetched
+    /// copy must not miss the update), but crash recovery's "who still holds
+    /// a copy" query is answered at once: two survivors faulting on the same
+    /// orphan each hold their entry busy while asking the other, and would
+    /// otherwise defer each other's query forever.
+    #[test]
+    fn recovery_copyset_query_is_never_deferred_on_a_busy_entry() {
+        let h = harness();
+        let conv = h.obj("conv");
+        {
+            let mut dir = h.rt.dir.lock();
+            let e = dir.entry_mut(conv);
+            e.state.busy = true;
+            e.state.rights = AccessRights::Invalid;
+        }
+        let query = |recovery| DsmMsg::CopysetQuery {
+            objects: vec![conv].into(),
+            requester: NodeId::new(1),
+            recovery,
+        };
+        h.peer_tx
+            .send(NodeId::new(0), "copyset_query", 40, query(false))
+            .unwrap();
+        h.pump();
+        assert_eq!(h.rt.deferred.lock().len(), 1, "flush query must wait");
+        assert!(h.peer_rx.try_recv().unwrap().is_none());
+        h.peer_tx
+            .send(NodeId::new(0), "copyset_query", 40, query(true))
+            .unwrap();
+        h.pump();
+        match h.peer_recv() {
+            DsmMsg::CopysetReply { have } => assert!(have.is_empty()),
+            other => panic!("unexpected reply: {other:?}"),
+        }
+        assert_eq!(h.rt.deferred.lock().len(), 1);
     }
 
     #[test]
@@ -2314,45 +2301,100 @@ mod tests {
         assert!(!h.rt.sync.lock().lock(crate::sync::LockId(0)).owned);
     }
 
+    /// A single-node report to the owner of a one-level barrier.
+    fn barrier_report(barrier: crate::sync::BarrierId, from: usize) -> DsmMsg {
+        DsmMsg::BarrierArrive {
+            barrier,
+            from: NodeId::new(from),
+            gen: 1,
+            arrived: crate::nodeset::NodeSet::from_nodes([NodeId::new(from)]),
+        }
+    }
+
     #[test]
     fn barrier_releases_after_all_arrivals() {
         let h = harness();
         let b = crate::sync::BarrierId(0);
         // Node 1 arrives first: no release yet.
         h.peer_tx
+            .send(NodeId::new(0), "barrier_arrive", 40, barrier_report(b, 1))
+            .unwrap();
+        h.pump();
+        assert!(h.peer_rx.try_recv().unwrap().is_none());
+        assert_eq!(h.rt.stats().snapshot().barrier_owner_ingress, 1);
+        // Node 0 arrives locally: node 1 gets released on the wire, node 0's
+        // own release goes straight to its user thread.
+        h.rt.barrier_arrive_local(b, std::collections::BTreeMap::new());
+        assert!(matches!(
+            h.peer_recv(),
+            DsmMsg::BarrierRelease { gen: 1, .. }
+        ));
+        assert!(matches!(
+            h.rt.reply_rx.try_recv().unwrap().1,
+            DsmMsg::BarrierRelease { gen: 1, .. }
+        ));
+        // The owner's arrival was not a message.
+        assert_eq!(h.rt.stats().snapshot().barrier_owner_ingress, 1);
+    }
+
+    /// Three nodes, one level: a bundle from node 1 to node 2 rides node 1's
+    /// report to the owner and node 2's release from it.
+    #[test]
+    fn barrier_relay_reaches_a_sibling_on_its_release() {
+        let h = harness3();
+        let ws = h.obj("ws");
+        let b = crate::sync::BarrierId(0);
+        let d = diff::encode(&[5u8; 32], &[0u8; 32]);
+        h.tx1
             .send(
                 NodeId::new(0),
                 "barrier_arrive",
-                40,
-                DsmMsg::BarrierArrive {
-                    barrier: b,
-                    from: NodeId::new(1),
+                96,
+                DsmMsg::Carrier {
+                    inner: Some(Box::new(barrier_report(b, 1))),
+                    updates: vec![],
+                    relay: vec![RelayUpdate {
+                        dest: NodeId::new(2),
+                        from: NodeId::new(1),
+                        seq: 0,
+                        items: vec![UpdateItem {
+                            object: ws,
+                            payload: UpdatePayload::Diff(d),
+                        }],
+                    }],
                 },
             )
             .unwrap();
         h.pump();
-        assert!(h.peer_rx.try_recv().unwrap().is_none());
-        // Node 0 arrives (self-delivered in the real runtime; injected here).
         h.rt.handle_request(
             Envelope {
-                src: NodeId::new(0),
+                src: NodeId::new(2),
                 dst: NodeId::new(0),
                 class: "barrier_arrive",
                 model_bytes: 40,
                 sent_at: munin_sim::VirtTime::ZERO,
                 arrival: munin_sim::VirtTime::ZERO,
             },
-            DsmMsg::BarrierArrive {
-                barrier: b,
-                from: NodeId::new(0),
-            },
+            barrier_report(b, 2),
         );
-        // Node 1 gets released; node 0's release goes to its own endpoint.
-        assert!(matches!(h.peer_recv(), DsmMsg::BarrierRelease { .. }));
+        assert!(h.rx1.try_recv().unwrap().is_none(), "owner has not arrived");
+        h.rt.barrier_arrive_local(b, std::collections::BTreeMap::new());
         assert!(matches!(
-            h.rt_rx.recv().unwrap().1,
-            DsmMsg::BarrierRelease { .. }
+            h.rx1.recv().unwrap().1,
+            DsmMsg::BarrierRelease { gen: 1, .. }
         ));
+        match h.rx2.recv().unwrap().1 {
+            DsmMsg::Carrier {
+                inner: Some(inner),
+                updates,
+                ..
+            } => {
+                assert!(matches!(*inner, DsmMsg::BarrierRelease { gen: 1, .. }));
+                assert_eq!(updates.len(), 1);
+                assert_eq!(updates[0].from, NodeId::new(1));
+            }
+            other => panic!("expected node 2's release to carry the bundle, got {other:?}"),
+        }
     }
 
     // --- reliability-layer idempotence -----------------------------------
@@ -2401,26 +2443,58 @@ mod tests {
     #[test]
     fn duplicate_barrier_arrive_is_counted_once() {
         let h = reliable_harness();
-        let arrive = DsmMsg::BarrierArrive {
-            barrier: crate::sync::BarrierId(0),
-            from: NodeId::new(1),
-        };
+        let b = crate::sync::BarrierId(0);
+        // The owner is already waiting: node 1's report opens the barrier.
+        h.rt.barrier_arrive_local(b, std::collections::BTreeMap::new());
+        let arrive = barrier_report(b, 1);
         h.rt.handle_incoming(rel_env(), rel_frame(1, arrive.clone()));
         h.rt.handle_incoming(rel_env(), rel_frame(1, arrive));
-        // Were the duplicate dispatched, the 2-party barrier would count two
-        // arrivals and release; the peer must see only the dedup quench ack.
-        let mut released = false;
+        // Were the duplicate dispatched it would be a stale report, answered
+        // with a second (direct) release; the peer must see exactly one
+        // release plus the dedup quench ack.
+        let mut releases = 0;
         let mut net_acks = 0;
         while let Some((_env, m)) = h.peer_rx.try_recv().unwrap() {
             match (matches!(m, DsmMsg::NetAck { .. }), innermost(m)) {
                 (true, _) => net_acks += 1,
-                (false, Some(DsmMsg::BarrierRelease { .. })) => released = true,
+                (false, Some(DsmMsg::BarrierRelease { .. })) => releases += 1,
                 _ => {}
             }
         }
-        assert!(!released, "duplicate barrier arrival released the barrier");
+        assert_eq!(releases, 1, "duplicate barrier arrival released twice");
         assert_eq!(net_acks, 1);
         assert_eq!(h.rt.stats().snapshot().dup_msgs_dropped, 1);
+        assert_eq!(h.rt.stats().snapshot().barrier_owner_ingress, 1);
+    }
+
+    /// Under crash recovery a read fetch can be answered twice (the
+    /// original fetch was alive after all, and a recovery `Adopt` produced a
+    /// second copy): only the awaited one reaches the user thread, so the
+    /// stray cannot fail the next wait. Ownership transfers always route.
+    #[test]
+    fn duplicate_read_copies_are_absorbed_under_recovery() {
+        let h =
+            harness_with(MuninConfig::fast_test(2).with_detect(std::time::Duration::from_secs(5)));
+        let ro = h.obj("ro");
+        let env = rel_env();
+        let data = |ownership| DsmMsg::ObjectData {
+            object: ro,
+            data: vec![0; 32],
+            ownership,
+            copyset: CopySet::EMPTY,
+            writable: false,
+        };
+        h.rt.waiting_fetch
+            .store(ro.as_u32() + 1, std::sync::atomic::Ordering::Release);
+        h.rt.route_to_user(env, data(false));
+        h.rt.route_to_user(env, data(false));
+        assert!(h.rt.reply_rx.try_recv().is_ok(), "the awaited copy routes");
+        assert!(
+            h.rt.reply_rx.try_recv().is_err(),
+            "the duplicate is absorbed"
+        );
+        h.rt.route_to_user(env, data(true));
+        assert!(h.rt.reply_rx.try_recv().is_ok(), "ownership always routes");
     }
 
     #[test]
@@ -2569,7 +2643,7 @@ mod tests {
             cfg,
             table,
             vec![NodeId::new(0)],
-            vec![(NodeId::new(0), 3)],
+            vec![NodeId::new(0)],
             clock0,
             Arc::new(CostModel::fast_test()),
             tx0,

@@ -10,7 +10,7 @@ use munin_sim::NodeId;
 
 use crate::annotation::SharingAnnotation;
 use crate::error::{MuninError, Result};
-use crate::msg::{DsmMsg, ReduceOp, RelayUpdate};
+use crate::msg::{DsmMsg, ReduceOp};
 use crate::object::ObjectId;
 use crate::stats::{add, bump};
 use crate::sync::{BarrierId, LockId};
@@ -172,36 +172,35 @@ impl NodeRuntime {
     }
 
     /// Waits at a barrier (a *release* followed by an *acquire*): flushes the
-    /// DUQ, notifies the barrier owner, and blocks until the barrier opens.
+    /// DUQ, reports the arrival up the barrier's combining tree, and blocks
+    /// until the owner's release reaches this node.
     ///
-    /// With piggybacking enabled at an all-node barrier, owner-flushed
-    /// updates ride the `BarrierArrive` carrier to the owner, which
-    /// re-attaches each bundle to the `BarrierRelease` headed to its
-    /// destination — a release flush then costs no standalone update or ack
-    /// messages. Every destination is a barrier participant, and each
-    /// installs its bundle before its release is routed to the user thread,
+    /// With piggybacking enabled, owner-flushed updates ride the barrier
+    /// traffic instead of standalone update+ack rounds: each bundle travels
+    /// up on the `BarrierArrive` reports until it reaches a node whose
+    /// subtree holds its destination, then down on that destination's
+    /// `BarrierRelease`. Every destination is a barrier participant and
+    /// installs its bundles before its release is routed to the user thread,
     /// so no thread can pass the barrier and observe pre-flush data.
     pub(crate) fn wait_at_barrier(self: &Arc<Self>, barrier: BarrierId) -> Result<()> {
-        let (owner, parties) = {
+        let topo = {
             let sync = self.sync.lock();
             if sync.barrier_count() <= barrier.0 as usize {
                 return Err(MuninError::UnknownSyncObject(barrier.0));
             }
-            let b = sync.barrier(barrier);
-            (b.owner, b.parties)
+            sync.barrier(barrier).topo
         };
-        let tree = self.tree_topology(barrier);
-        // Tree mode keeps the barrier-relay flush (bundles ride the tree
-        // hops) — except when the failure detector is armed: a relayed
-        // bundle parked at a dying interior node would be lost with it, so
-        // crash-tolerant tree runs flush eagerly instead. The flat path
-        // keeps its relay either way (the owner's recovery already covers
-        // it).
-        let mode = if self.cfg.piggyback
-            && parties == self.nodes
-            && (tree.is_none() || !self.health_enabled())
-        {
-            FlushMode::BarrierRelay { owner }
+        let owner = topo.owner;
+        // The barrier-relay flush parks bundles at tree nodes until the
+        // release. With the failure detector armed, a deeper tree flushes
+        // eagerly instead: a bundle parked at a dying interior node would be
+        // lost with it. A single-level tree parks bundles only at the owner,
+        // whose death ends the run anyway, so it keeps the relay.
+        let mode = if self.cfg.piggyback && (topo.is_single_level() || !self.health_enabled()) {
+            FlushMode::BarrierRelay {
+                owner,
+                parent: topo.live_parent_of(self.node, &self.dead_set()),
+            }
         } else {
             FlushMode::Immediate
         };
@@ -215,44 +214,10 @@ impl NodeRuntime {
                 ev.sync_id = Some(barrier.0);
                 ev.peer = Some(owner);
             });
-        let arrive = DsmMsg::BarrierArrive {
-            barrier,
-            from: self.node,
-        };
-        if let Some(topo) = &tree {
-            self.tree_arrive_local(barrier, topo, relay);
-        } else if relay.is_empty() {
-            self.send(owner, arrive)?;
-        } else {
-            let relay: Vec<RelayUpdate> = relay
-                .into_iter()
-                .map(|(dest, items)| {
-                    add(&self.stats.msgs_piggybacked, 1);
-                    self.note_update_sent(&items);
-                    RelayUpdate {
-                        dest,
-                        from: self.node,
-                        // The bundle takes its slot in this node's update
-                        // stream to `dest` *now*, so any later direct update
-                        // gets a higher number and can never be overtaken by
-                        // this bundle's slower owner-relayed route.
-                        seq: self.next_update_seq(dest),
-                        items,
-                    }
-                })
-                .collect();
-            self.send(
-                owner,
-                DsmMsg::Carrier {
-                    inner: Some(Box::new(arrive)),
-                    updates: Vec::new(),
-                    relay,
-                },
-            )?;
-        }
-        // A participant dying mid-wait is survivable — the owner's recovery
-        // excludes it from the arrival count and releases the rest — but the
-        // owner itself dying takes the barrier state with it.
+        self.barrier_arrive_local(barrier, relay);
+        // A participant dying mid-wait is survivable — the tree re-parents
+        // around it and stops waiting for it — but the owner itself dying
+        // takes the barrier state with it.
         let mut handled = crate::nodeset::NodeSet::EMPTY;
         let (env, reply) = loop {
             match self.wait_reply_or_dead(
@@ -268,14 +233,12 @@ impl NodeRuntime {
                     });
                 }
                 Err(MuninError::PeerDied(dead)) => {
-                    // Tree mode: the corpse may have been this node's
-                    // reporting ancestor (re-send the report to a live one)
-                    // or the last hold-out in its subtree (advance now).
-                    // Recovery also runs this; doing it here too closes the
-                    // race where this thread sees the death first.
-                    if tree.is_some() {
-                        self.tree_handle_death(dead);
-                    }
+                    // The corpse may have been this node's reporting
+                    // ancestor (re-send the report to a live one) or the
+                    // last hold-out in its subtree (advance now). Recovery
+                    // also runs this; doing it here too closes the race
+                    // where this thread sees the death first.
+                    self.barrier_handle_death(dead);
                 }
                 Err(e) => return Err(e),
             }
@@ -289,7 +252,7 @@ impl NodeRuntime {
             },
         );
         match reply {
-            DsmMsg::BarrierRelease { barrier: b } if b == barrier => Ok(()),
+            DsmMsg::BarrierRelease { barrier: b, .. } if b == barrier => Ok(()),
             _ => Err(MuninError::ProtocolViolation(
                 "unexpected reply while waiting at a barrier",
             )),
@@ -452,7 +415,7 @@ mod tests {
             cfg,
             table,
             vec![NodeId::new(0)],
-            vec![(NodeId::new(0), 1)],
+            vec![NodeId::new(0)],
             clock,
             Arc::new(CostModel::fast_test()),
             tx,

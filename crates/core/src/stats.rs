@@ -124,11 +124,9 @@ counters! {
         lock_messages,
         /// Barrier waits performed by the local user thread.
         barrier_waits,
-        /// Barrier-arrival messages this node received as a barrier owner:
-        /// `BarrierArrive`s on the flat path, upward `BarrierCombine`s on
-        /// the tree path. The flat owner takes N−1 of these per episode; a
-        /// combining tree caps it at the fan-in k — the scaling tests
-        /// assert on exactly this counter.
+        /// `BarrierArrive` reports this node received as a barrier owner:
+        /// min(k, N−1) per episode for fan-in k (the owner's own arrival is
+        /// local) — the scaling tests assert on exactly this counter.
         barrier_owner_ingress,
         /// Fetch-and-Φ operations performed on reduction objects.
         reductions,

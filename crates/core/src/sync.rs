@@ -160,84 +160,15 @@ pub enum RemoteAcquireAction {
     Queued,
 }
 
-/// Per-node state of one barrier.
-///
-/// Barriers are owner-collected: every arriving thread sends a message to the
-/// owner node (the root for statically created barriers) and blocks; when the
-/// owner has received the expected number of arrivals it releases everyone.
-#[derive(Clone, Debug)]
-pub struct BarrierState {
-    /// The node that collects arrivals.
-    pub owner: NodeId,
-    /// Number of threads that must arrive before the barrier opens.
-    pub parties: usize,
-    /// Nodes that have arrived in the current episode (meaningful at the
-    /// owner only).
-    pub arrived: Vec<NodeId>,
-    /// How many times the barrier has opened.
-    pub generation: u64,
-    /// Nodes confirmed dead and excluded from the arrival count (crash
-    /// recovery at the owner; each excluded node lowers the open threshold
-    /// by one).
-    pub excluded: NodeSet,
-}
-
-impl BarrierState {
-    /// Creates the barrier state.
-    pub fn new(owner: NodeId, parties: usize) -> Self {
-        BarrierState {
-            owner,
-            parties,
-            arrived: Vec::new(),
-            generation: 0,
-            excluded: NodeSet::EMPTY,
-        }
-    }
-
-    /// Arrivals required to open, after dead-node exclusions. Never below
-    /// one: a barrier opens on an arrival, not on an exclusion alone.
-    fn effective_parties(&self) -> usize {
-        self.parties.saturating_sub(self.excluded.count()).max(1)
-    }
-
-    /// Records an arrival at the owner. Returns the list of nodes to release
-    /// when this arrival completes the barrier, or `None` otherwise.
-    pub fn arrive(&mut self, from: NodeId) -> Option<Vec<NodeId>> {
-        self.arrived.push(from);
-        if self.arrived.len() >= self.effective_parties() {
-            self.generation += 1;
-            Some(std::mem::take(&mut self.arrived))
-        } else {
-            None
-        }
-    }
-
-    /// Crash recovery at the owner: excludes a dead node from the arrival
-    /// count (dropping any arrival it already recorded this episode — its
-    /// release could not reach it anyway). Returns the waiters to release
-    /// when the exclusion leaves every surviving party already arrived.
-    pub fn exclude(&mut self, node: NodeId) -> Option<Vec<NodeId>> {
-        if self.excluded.contains(node) {
-            return None;
-        }
-        self.excluded.insert(node);
-        self.arrived.retain(|n| *n != node);
-        if !self.arrived.is_empty() && self.arrived.len() >= self.effective_parties() {
-            self.generation += 1;
-            Some(std::mem::take(&mut self.arrived))
-        } else {
-            None
-        }
-    }
-}
-
-/// The static k-ary combining tree used by wide all-node barriers.
+/// The static k-ary combining tree every barrier runs over.
 ///
 /// Nodes are laid out heap-style by *rank*: the barrier owner is rank 0, the
 /// ranks `r·k+1 ..= r·k+k` are the children of rank `r`, and rank `r` of node
 /// `n` is `(n + nodes − owner) mod nodes` — so the shape depends only on
 /// `(owner, nodes, fanout)` and every node derives identical edges without
-/// coordination. The *static* tree never changes; crash recovery re-parents a
+/// coordination. With `k ≥ nodes − 1` the tree is a single level: every node
+/// reports straight to the owner, which is the paper's owner-collected
+/// barrier. The *static* tree never changes; crash recovery re-parents a
 /// subtree by sending its reports to the nearest live static ancestor, which
 /// moves an edge but never changes any node's static subtree membership.
 #[derive(Clone, Copy, Debug)]
@@ -246,20 +177,27 @@ pub struct TreeTopology {
     pub owner: NodeId,
     /// Total cluster size.
     pub nodes: usize,
-    /// Fan-in `k` (at least 2).
+    /// Fan-in `k`: at least 2, at most `max(nodes − 1, 2)`.
     pub fanout: usize,
 }
 
 impl TreeTopology {
-    /// Builds the topology. `fanout` below 2 would degenerate into a chain;
-    /// the config layer rejects it before it can reach here.
+    /// Builds the topology. A fan-in above `nodes − 1` is the same single
+    /// level as `nodes − 1` and is clamped to it (which also keeps the heap
+    /// arithmetic from overflowing for `usize::MAX`). A fan-in below 2 would
+    /// be a chain; the config layer rejects it before it can reach here.
     pub fn new(owner: NodeId, nodes: usize, fanout: usize) -> Self {
-        debug_assert!(fanout >= 2, "tree fan-in below 2 is a chain");
+        debug_assert!(fanout >= 2, "barrier fan-in {fanout} is below 2");
         TreeTopology {
             owner,
             nodes,
-            fanout,
+            fanout: fanout.min(nodes.saturating_sub(1)).max(2),
         }
+    }
+
+    /// Whether every node reports straight to the owner (depth 1).
+    pub fn is_single_level(&self) -> bool {
+        self.nodes <= self.fanout + 1
     }
 
     /// Heap rank of a node (owner = 0).
@@ -281,7 +219,7 @@ impl TreeTopology {
     /// Static tree children, in rank order.
     pub fn children_of(&self, node: NodeId) -> Vec<NodeId> {
         let first = self.rank_of(node) * self.fanout + 1;
-        (first..(first.saturating_add(self.fanout)).min(self.nodes))
+        (first..(first + self.fanout).min(self.nodes))
             .map(|r| self.node_at(r))
             .collect()
     }
@@ -293,7 +231,7 @@ impl TreeTopology {
         while let Some(r) = stack.pop() {
             set.insert(self.node_at(r));
             let first = r * self.fanout + 1;
-            stack.extend(first..(first.saturating_add(self.fanout)).min(self.nodes));
+            stack.extend(first..(first + self.fanout).min(self.nodes));
         }
         set
     }
@@ -330,13 +268,22 @@ impl TreeTopology {
     }
 }
 
-/// Per-node combining state of one tree barrier episode.
+/// Per-node state of one barrier.
 ///
-/// Unlike [`BarrierState`] (meaningful at the owner only), every node keeps
-/// one of these per barrier: interior nodes combine their children's reports
-/// here before forwarding one merged report upward.
-#[derive(Clone, Debug, Default)]
-pub struct TreeBarrierState {
+/// Barriers are owner-collected (Section 3.4): every arriving thread reports
+/// to the barrier owner and blocks until the owner releases everyone. The
+/// reports travel up a static combining tree rooted at the owner (see
+/// [`TreeTopology`]) and the releases fan back down it; a single-level tree
+/// is exactly the paper's barrier. Every node keeps one of these per
+/// barrier: interior nodes combine their children's reports here before
+/// forwarding one merged report upward.
+#[derive(Clone, Debug)]
+pub struct BarrierState {
+    /// The tree the barrier runs over.
+    pub topo: TreeTopology,
+    /// This node's static subtree, itself included: the arrivals it
+    /// collects before reporting (or, at the owner, before opening).
+    pub subtree: NodeSet,
     /// Every node known to have arrived this episode in (or re-parented
     /// into) this node's subtree, itself included once it arrives.
     pub arrived: NodeSet,
@@ -349,31 +296,143 @@ pub struct TreeBarrierState {
     /// reports (crash-recovery re-sends) do not trigger duplicate forwards:
     /// a node re-forwards only when its merged set has grown.
     pub forwarded_count: usize,
-    /// Completed episodes (the tree-path analogue of
-    /// [`BarrierState::generation`], kept per node rather than owner-only).
+    /// Completed episodes: how many times the barrier has opened here.
     pub completed: u64,
-    /// Lazily computed static subtree of this node (the completeness
-    /// threshold and the bundle-stash partition both test against it).
-    pub subtree: Option<NodeSet>,
 }
 
-impl TreeBarrierState {
-    /// Resets the per-episode fields after a release, keeping the episode
-    /// counter and the cached subtree.
-    pub fn reset_episode(&mut self, completed: u64) {
-        self.arrived.clear();
-        self.children.clear();
-        self.forwarded_count = 0;
-        self.completed = completed;
+/// What [`BarrierState::step`] decided. The runtime acts on it outside the
+/// sync lock (sends never happen while holding it).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum BarrierStep {
+    /// Nothing to do: the subtree is incomplete, or nothing grew since the
+    /// last upward report.
+    Hold,
+    /// Forward the merged arrived set of episode `gen` to `parent`, the
+    /// nearest live static ancestor.
+    Report {
+        /// Where the report goes.
+        parent: NodeId,
+        /// The episode being reported.
+        gen: u64,
+        /// Every arrived node this report covers.
+        arrived: NodeSet,
+    },
+    /// Owner: every live node has arrived — release episode `gen` down these
+    /// live dynamic edges.
+    Open {
+        /// The episode that opened.
+        gen: u64,
+        /// Live reporting children and the sets they cover.
+        children: Vec<(NodeId, NodeSet)>,
+    },
+}
+
+impl BarrierState {
+    /// The state of a barrier over `topo` as seen from `local`.
+    pub fn new(topo: TreeTopology, local: NodeId) -> Self {
+        BarrierState {
+            topo,
+            subtree: topo.subtree_of(local),
+            arrived: NodeSet::EMPTY,
+            children: Vec::new(),
+            forwarded_count: 0,
+            completed: 0,
+        }
     }
 
-    /// Merges one upward report into the combining state.
-    pub fn merge_report(&mut self, from: NodeId, covered: &NodeSet) {
+    /// Merges one upward report of episode `gen` from `from` covering
+    /// `covered`. Returns `false` (and merges nothing) when the episode has
+    /// already completed here: the sender missed its release and must be
+    /// answered directly. Merging is idempotent, so a duplicate report is
+    /// counted once.
+    pub fn receive_report(&mut self, from: NodeId, gen: u64, covered: &NodeSet) -> bool {
+        if gen <= self.completed {
+            return false;
+        }
+        debug_assert!(
+            gen == self.completed + 1,
+            "report for episode {gen} > {} + 1",
+            self.completed
+        );
         self.arrived.union_with(covered);
         match self.children.iter_mut().find(|(c, _)| *c == from) {
             Some((_, set)) => set.union_with(covered),
             None => self.children.push((from, covered.clone())),
         }
+        true
+    }
+
+    /// Checks completeness against the live part of the subtree and decides
+    /// what `local` does next. Idempotent: the `forwarded_count` guard keeps
+    /// repeated triggers (user thread, service thread, crash recovery) from
+    /// duplicating upward traffic. Nothing happens before `local` itself
+    /// arrives, since it is in its own subtree.
+    pub fn step(&mut self, local: NodeId, dead: &NodeSet) -> BarrierStep {
+        let mut needed = self.subtree.clone();
+        needed.difference_with(dead);
+        if !self.arrived.is_superset_of(&needed) {
+            return BarrierStep::Hold;
+        }
+        let gen = self.completed + 1;
+        if self.topo.owner == local {
+            let children = self.finish_episode(gen, dead);
+            return BarrierStep::Open { gen, children };
+        }
+        if self.arrived.count() <= self.forwarded_count {
+            return BarrierStep::Hold;
+        }
+        // A dead static parent is skipped: the report re-parents to the
+        // nearest live ancestor. None means the owner is dead — the waiting
+        // user thread surfaces `NodeDown`.
+        match self.topo.live_parent_of(local, dead) {
+            Some(parent) => {
+                self.forwarded_count = self.arrived.count();
+                BarrierStep::Report {
+                    parent,
+                    gen,
+                    arrived: self.arrived.clone(),
+                }
+            }
+            None => BarrierStep::Hold,
+        }
+    }
+
+    /// A release of episode `gen` reached this (non-owner) node: returns the
+    /// live dynamic children to forward it to, or `None` for a duplicate of
+    /// an episode already released here.
+    pub fn receive_release(&mut self, gen: u64, dead: &NodeSet) -> Option<Vec<(NodeId, NodeSet)>> {
+        if gen <= self.completed {
+            return None;
+        }
+        debug_assert!(
+            gen == self.completed + 1,
+            "release for episode {gen} > {} + 1",
+            self.completed
+        );
+        Some(self.finish_episode(gen, dead))
+    }
+
+    /// Crash recovery: `dead` was confirmed gone. If it was a static
+    /// ancestor of `local` it may have swallowed this node's report without
+    /// forwarding it, so the next [`step`](Self::step) re-sends the merged
+    /// report — to the nearest live ancestor. Re-sends merge idempotently,
+    /// so over-sending is safe and under-sending is not.
+    pub fn note_death(&mut self, local: NodeId, dead: NodeId) {
+        if self.topo.is_ancestor_of(dead, local) {
+            self.forwarded_count = 0;
+        }
+    }
+
+    /// Closes episode `gen`: resets the per-episode fields and hands back the
+    /// live dynamic children to release (a dead child's release could not
+    /// reach it, and its live descendants re-parented elsewhere).
+    fn finish_episode(&mut self, gen: u64, dead: &NodeSet) -> Vec<(NodeId, NodeSet)> {
+        let mut children = std::mem::take(&mut self.children);
+        children.retain(|(c, _)| !dead.contains(*c));
+        self.arrived.clear();
+        self.forwarded_count = 0;
+        self.completed = gen;
+        children
     }
 }
 
@@ -383,23 +442,28 @@ impl TreeBarrierState {
 pub struct SyncDirectory {
     locks: Vec<LockState>,
     barriers: Vec<BarrierState>,
-    tree: Vec<TreeBarrierState>,
 }
 
 impl SyncDirectory {
     /// Builds the directory for a node, given the statically created locks
-    /// and barriers (all homed at the root in the prototype).
-    pub fn new(local: NodeId, lock_homes: &[NodeId], barriers: &[(NodeId, usize)]) -> Self {
+    /// (by home) and barriers (by owner, each over a `fanout`-ary tree of
+    /// all `nodes` nodes).
+    pub fn new(
+        local: NodeId,
+        lock_homes: &[NodeId],
+        barrier_owners: &[NodeId],
+        nodes: usize,
+        fanout: usize,
+    ) -> Self {
         SyncDirectory {
             locks: lock_homes
                 .iter()
                 .map(|home| LockState::new(*home, local))
                 .collect(),
-            barriers: barriers
+            barriers: barrier_owners
                 .iter()
-                .map(|(owner, parties)| BarrierState::new(*owner, *parties))
+                .map(|owner| BarrierState::new(TreeTopology::new(*owner, nodes, fanout), local))
                 .collect(),
-            tree: vec![TreeBarrierState::default(); barriers.len()],
         }
     }
 
@@ -421,16 +485,6 @@ impl SyncDirectory {
     /// Mutable state of a barrier.
     pub fn barrier_mut(&mut self, id: BarrierId) -> &mut BarrierState {
         &mut self.barriers[id.0 as usize]
-    }
-
-    /// Combining-tree state of a barrier.
-    pub fn tree_barrier(&self, id: BarrierId) -> &TreeBarrierState {
-        &self.tree[id.0 as usize]
-    }
-
-    /// Mutable combining-tree state of a barrier.
-    pub fn tree_barrier_mut(&mut self, id: BarrierId) -> &mut TreeBarrierState {
-        &mut self.tree[id.0 as usize]
     }
 
     /// Number of locks known to this node.
@@ -524,78 +578,155 @@ mod tests {
         assert_eq!(rest, vec![n(2)]);
     }
 
+    /// The owner's state of a single-level barrier over `nodes` nodes owned
+    /// by node 0 — the paper's owner-collected barrier.
+    fn one_level(nodes: usize) -> BarrierState {
+        BarrierState::new(TreeTopology::new(n(0), nodes, nodes.max(2)), n(0))
+    }
+
+    /// Records the owner's own arrival or a leaf's single-node report.
+    fn arrive(b: &mut BarrierState, node: usize) {
+        if node == 0 {
+            b.arrived.insert(n(0));
+        } else {
+            let gen = b.completed + 1;
+            assert!(b.receive_report(n(node), gen, &NodeSet::from_nodes([n(node)])));
+        }
+    }
+
+    fn released(step: BarrierStep) -> Vec<NodeId> {
+        match step {
+            BarrierStep::Open { children, .. } => children.into_iter().map(|(c, _)| c).collect(),
+            other => panic!("expected the barrier to open, got {other:?}"),
+        }
+    }
+
+    const ALIVE: NodeSet = NodeSet::EMPTY;
+
     #[test]
     fn barrier_opens_when_all_parties_arrive() {
-        let mut b = BarrierState::new(n(0), 3);
-        assert!(b.arrive(n(0)).is_none());
-        assert!(b.arrive(n(1)).is_none());
-        let released = b.arrive(n(2)).unwrap();
-        assert_eq!(released.len(), 3);
-        assert_eq!(b.generation, 1);
-        // The barrier is reusable.
-        assert!(b.arrive(n(2)).is_none());
-        assert!(b.arrive(n(1)).is_none());
-        assert!(b.arrive(n(0)).is_some());
-        assert_eq!(b.generation, 2);
+        let mut b = one_level(3);
+        arrive(&mut b, 0);
+        assert_eq!(b.step(n(0), &ALIVE), BarrierStep::Hold);
+        arrive(&mut b, 1);
+        assert_eq!(b.step(n(0), &ALIVE), BarrierStep::Hold);
+        arrive(&mut b, 2);
+        assert_eq!(released(b.step(n(0), &ALIVE)), vec![n(1), n(2)]);
+        assert_eq!(b.completed, 1);
+        // The barrier is reusable, in any arrival order.
+        arrive(&mut b, 2);
+        arrive(&mut b, 1);
+        assert_eq!(b.step(n(0), &ALIVE), BarrierStep::Hold);
+        arrive(&mut b, 0);
+        assert_eq!(released(b.step(n(0), &ALIVE)), vec![n(2), n(1)]);
+        assert_eq!(b.completed, 2);
     }
 
     #[test]
-    fn excluding_a_dead_node_lowers_the_arrival_threshold() {
-        let mut b = BarrierState::new(n(0), 4);
-        assert!(b.arrive(n(0)).is_none());
-        assert!(b.arrive(n(1)).is_none());
-        // Node 3 dies: threshold drops to 3; the two arrivals are not enough.
-        assert!(b.exclude(n(3)).is_none());
-        let released = b.arrive(n(2)).unwrap();
-        assert_eq!(released, vec![n(0), n(1), n(2)]);
-        // Excluding again is idempotent.
-        assert!(b.exclude(n(3)).is_none());
-        // Next episode still runs at the lowered threshold.
-        assert!(b.arrive(n(0)).is_none());
-        assert!(b.arrive(n(1)).is_none());
-        assert!(b.arrive(n(2)).is_some());
+    fn a_dead_node_lowers_the_arrival_threshold() {
+        let mut b = one_level(4);
+        arrive(&mut b, 0);
+        arrive(&mut b, 1);
+        // Node 3 dies: the two arrivals are still not enough.
+        let dead = NodeSet::from_nodes([n(3)]);
+        assert_eq!(b.step(n(0), &dead), BarrierStep::Hold);
+        arrive(&mut b, 2);
+        assert_eq!(released(b.step(n(0), &dead)), vec![n(1), n(2)]);
+        // The next episode still runs without the corpse.
+        arrive(&mut b, 0);
+        arrive(&mut b, 1);
+        assert_eq!(b.step(n(0), &dead), BarrierStep::Hold);
+        arrive(&mut b, 2);
+        assert_eq!(released(b.step(n(0), &dead)), vec![n(1), n(2)]);
     }
 
     #[test]
-    fn exclusion_of_the_last_straggler_releases_waiters() {
-        let mut b = BarrierState::new(n(0), 3);
-        assert!(b.arrive(n(0)).is_none());
-        assert!(b.arrive(n(1)).is_none());
-        // Node 2 dies while everyone else waits: the exclusion itself opens
-        // the barrier.
-        let released = b.exclude(n(2)).unwrap();
-        assert_eq!(released, vec![n(0), n(1)]);
-        assert_eq!(b.generation, 1);
+    fn death_of_the_last_straggler_releases_the_waiters() {
+        let mut b = one_level(3);
+        arrive(&mut b, 0);
+        arrive(&mut b, 1);
+        assert_eq!(b.step(n(0), &ALIVE), BarrierStep::Hold);
+        // Node 2 dies while everyone else waits: the death itself opens the
+        // barrier.
+        let dead = NodeSet::from_nodes([n(2)]);
+        assert_eq!(released(b.step(n(0), &dead)), vec![n(1)]);
+        assert_eq!(b.completed, 1);
     }
 
     #[test]
-    fn exclusion_above_node_64_does_not_alias() {
+    fn deaths_above_node_64_do_not_alias() {
         // Regression: the historical bitmap computed `1u64 << (node % 64)`,
-        // so excluding node 64 (a) aliased onto node 0 and (b) made a later
-        // real exclusion of node 0 an idempotent no-op — the threshold
-        // dropped by one instead of two and the barrier hung forever.
-        let mut b = BarrierState::new(n(0), 66);
-        assert!(b.exclude(n(64)).is_none());
-        assert!(b.exclude(n(0)).is_none());
-        assert!(b.exclude(n(65)).is_none());
-        assert_eq!(b.excluded.count(), 3, "three distinct exclusions");
-        // 66 parties - 3 dead = 63 arrivals open the barrier.
-        for i in 1..63 {
-            assert!(b.arrive(n(i)).is_none(), "arrival {i} must not open");
+        // so node 64 aliased onto node 0 and node 65 onto node 1 — the
+        // threshold dropped by fewer than the real deaths, or a live node
+        // counted as dead.
+        let mut b = one_level(66);
+        let dead = NodeSet::from_nodes([n(64), n(1), n(65)]);
+        assert_eq!(dead.count(), 3, "three distinct deaths");
+        arrive(&mut b, 0);
+        for i in 2..63 {
+            arrive(&mut b, i);
+            assert_eq!(
+                b.step(n(0), &dead),
+                BarrierStep::Hold,
+                "arrival {i} must not open"
+            );
         }
-        let released = b.arrive(n(63)).unwrap();
-        assert_eq!(released.len(), 63);
-        assert_eq!(b.generation, 1);
+        arrive(&mut b, 63);
+        assert_eq!(released(b.step(n(0), &dead)).len(), 62);
+        assert_eq!(b.completed, 1);
     }
 
     #[test]
-    fn excluding_an_already_arrived_node_drops_its_arrival() {
-        let mut b = BarrierState::new(n(0), 3);
-        assert!(b.arrive(n(2)).is_none());
-        assert!(b.exclude(n(2)).is_none());
-        // Threshold is now 2 and node 2's stale arrival is gone.
-        assert!(b.arrive(n(0)).is_none());
-        assert!(b.arrive(n(1)).is_some());
+    fn an_arrived_node_that_dies_is_dropped() {
+        let mut b = one_level(3);
+        arrive(&mut b, 2);
+        let dead = NodeSet::from_nodes([n(2)]);
+        // Node 2's arrival no longer counts towards anything...
+        arrive(&mut b, 0);
+        assert_eq!(b.step(n(0), &dead), BarrierStep::Hold);
+        // ...and its release is not sent.
+        arrive(&mut b, 1);
+        assert_eq!(released(b.step(n(0), &dead)), vec![n(1)]);
+    }
+
+    #[test]
+    fn a_duplicate_arrive_is_counted_once() {
+        let mut b = one_level(3);
+        let report = NodeSet::from_nodes([n(1)]);
+        assert!(b.receive_report(n(1), 1, &report));
+        assert!(b.receive_report(n(1), 1, &report));
+        arrive(&mut b, 0);
+        assert_eq!(b.arrived.count(), 2);
+        assert_eq!(b.children.len(), 1);
+        assert_eq!(b.step(n(0), &ALIVE), BarrierStep::Hold);
+        arrive(&mut b, 2);
+        assert_eq!(released(b.step(n(0), &ALIVE)), vec![n(1), n(2)]);
+        // A copy arriving after the episode opened is stale, not a vote for
+        // the next episode.
+        assert!(!b.receive_report(n(1), 1, &report));
+        assert!(b.arrived.is_empty());
+    }
+
+    #[test]
+    fn a_leaf_reports_once_per_episode_and_drops_duplicate_releases() {
+        let topo = TreeTopology::new(n(0), 4, 8);
+        assert!(topo.is_single_level());
+        let mut leaf = BarrierState::new(topo, n(2));
+        assert_eq!(leaf.step(n(2), &ALIVE), BarrierStep::Hold);
+        leaf.arrived.insert(n(2));
+        assert_eq!(
+            leaf.step(n(2), &ALIVE),
+            BarrierStep::Report {
+                parent: n(0),
+                gen: 1,
+                arrived: NodeSet::from_nodes([n(2)]),
+            }
+        );
+        // Re-triggering without growth sends nothing more.
+        assert_eq!(leaf.step(n(2), &ALIVE), BarrierStep::Hold);
+        assert_eq!(leaf.receive_release(1, &ALIVE), Some(Vec::new()));
+        assert_eq!(leaf.receive_release(1, &ALIVE), None);
+        assert_eq!(leaf.completed, 1);
     }
 
     #[test]
@@ -640,12 +771,14 @@ mod tests {
 
     #[test]
     fn directory_indexes_locks_and_barriers() {
-        let dir = SyncDirectory::new(n(1), &[n(0), n(0)], &[(n(0), 4)]);
+        let dir = SyncDirectory::new(n(1), &[n(0), n(0)], &[n(0)], 4, 8);
         assert_eq!(dir.lock_count(), 2);
         assert_eq!(dir.barrier_count(), 1);
         assert!(!dir.lock(LockId(0)).owned);
-        assert_eq!(dir.barrier(BarrierId(0)).parties, 4);
-        assert_eq!(dir.tree_barrier(BarrierId(0)).completed, 0);
+        let b = dir.barrier(BarrierId(0));
+        assert_eq!(b.topo.owner, n(0));
+        assert_eq!(b.subtree, NodeSet::from_nodes([n(1)]));
+        assert_eq!(b.completed, 0);
     }
 
     #[test]
@@ -711,23 +844,58 @@ mod tests {
 
     #[test]
     fn tree_state_merges_reports_idempotently() {
-        let mut s = TreeBarrierState::default();
+        let topo = TreeTopology::new(n(0), 16, 4);
+        let mut s = BarrierState::new(topo, n(1));
         let report = NodeSet::from_nodes([n(5), n(6)]);
-        s.merge_report(n(5), &report);
+        assert!(s.receive_report(n(5), 1, &report));
         assert_eq!(s.arrived.count(), 2);
         assert_eq!(s.children.len(), 1);
         // A crash-recovery re-send of the same report changes nothing.
-        s.merge_report(n(5), &report);
+        assert!(s.receive_report(n(5), 1, &report));
         assert_eq!(s.arrived.count(), 2);
         assert_eq!(s.children.len(), 1);
         // A grown re-send merges into the same child entry.
-        s.merge_report(n(5), &NodeSet::from_nodes([n(5), n(6), n(7)]));
+        assert!(s.receive_report(n(5), 1, &NodeSet::from_nodes([n(5), n(6), n(7)])));
         assert_eq!(s.arrived.count(), 3);
         assert_eq!(s.children.len(), 1);
         assert_eq!(s.children[0].1.count(), 3);
-        s.reset_episode(1);
+        let children = s.receive_release(1, &NodeSet::EMPTY).unwrap();
+        assert_eq!(children.len(), 1);
         assert!(s.arrived.is_empty());
         assert!(s.children.is_empty());
         assert_eq!(s.completed, 1);
+    }
+
+    #[test]
+    fn an_interior_node_re_reports_past_a_dead_parent() {
+        // 16 nodes, k = 4: node 5 (rank 5) reports to node 1 (rank 1).
+        let topo = TreeTopology::new(n(0), 16, 4);
+        assert!(!topo.is_single_level());
+        let mut s = BarrierState::new(topo, n(5));
+        assert_eq!(s.subtree, NodeSet::from_nodes([n(5)]));
+        s.arrived.insert(n(5));
+        let step = s.step(n(5), &NodeSet::EMPTY);
+        assert!(matches!(step, BarrierStep::Report { parent, .. } if parent == n(1)));
+        // Node 1 dies, possibly with the report: re-send to the owner.
+        let dead = NodeSet::from_nodes([n(1)]);
+        s.note_death(n(5), n(1));
+        let step = s.step(n(5), &dead);
+        assert!(matches!(step, BarrierStep::Report { parent, .. } if parent == n(0)));
+        // An unrelated death does not trigger another re-send.
+        s.note_death(n(5), n(7));
+        assert_eq!(s.step(n(5), &dead), BarrierStep::Hold);
+    }
+
+    #[test]
+    fn oversized_fanouts_clamp_to_a_single_level() {
+        let t = TreeTopology::new(n(0), 16, usize::MAX);
+        assert!(t.is_single_level());
+        assert_eq!(t.children_of(n(0)).len(), 15);
+        assert_eq!(t.subtree_of(n(3)), NodeSet::from_nodes([n(3)]));
+        assert_eq!(t.parent_of(n(15)), Some(n(0)));
+        // A one-node cluster is a lone owner.
+        let lone = TreeTopology::new(n(0), 1, 8);
+        assert_eq!(lone.subtree_of(n(0)), NodeSet::from_nodes([n(0)]));
+        assert!(lone.children_of(n(0)).is_empty());
     }
 }

@@ -6,6 +6,8 @@
 //! (the maximum node clock at termination, i.e. the time at which the slowest
 //! node finished) and the network statistics.
 
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::cost::CostModel;
@@ -104,8 +106,8 @@ impl<M: Send + Clone + 'static> Cluster<M> {
         }
     }
 
-    /// Sets the event-engine configuration (schedule seed, delivery mode,
-    /// fault plan, trace recording) for this run.
+    /// Sets the event-engine configuration (schedule seed, fault plan,
+    /// trace recording) for this run.
     pub fn with_engine(mut self, engine: EngineConfig) -> Self {
         self.engine = engine;
         self
@@ -149,28 +151,41 @@ impl<M: Send + Clone + 'static> Cluster<M> {
         // keep receivers alive after every node has finished.
         drop(network);
 
-        let f = &f;
+        let nodes = self.nodes;
+        // The first node to panic (`usize::MAX` while none has).
+        let first_panic = AtomicUsize::new(usize::MAX);
+        let (f, engine_ref, first_panic_ref) = (&f, &engine, &first_panic);
         let mut results: Vec<Option<R>> = Vec::with_capacity(self.nodes);
-        let mut panicked: Option<usize> = None;
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(self.nodes);
-            for ctx in ctxs {
-                handles.push(scope.spawn(move || f(ctx)));
-            }
-            for (i, handle) in handles.into_iter().enumerate() {
-                match handle.join() {
-                    Ok(r) => results.push(Some(r)),
-                    Err(_) => {
-                        results.push(None);
-                        if panicked.is_none() {
-                            panicked = Some(i);
+            for (i, ctx) in ctxs.into_iter().enumerate() {
+                handles.push(scope.spawn(move || {
+                    let out = std::panic::catch_unwind(AssertUnwindSafe(|| f(ctx)));
+                    if out.is_err() {
+                        // Peers may be blocked in `recv` waiting for this
+                        // node forever: close every inbox so they observe
+                        // disconnection and the run fails instead of hanging
+                        // in the joins below.
+                        let _ = first_panic_ref.compare_exchange(
+                            usize::MAX,
+                            i,
+                            Ordering::AcqRel,
+                            Ordering::Acquire,
+                        );
+                        for n in 0..nodes {
+                            engine_ref.close_inbox(n);
                         }
                     }
-                }
+                    out.ok()
+                }));
+            }
+            for handle in handles {
+                results.push(handle.join().ok().flatten());
             }
         });
-        if let Some(i) = panicked {
-            return Err(SimError::NodePanicked(i));
+        let panicked = first_panic.load(Ordering::Acquire);
+        if panicked != usize::MAX {
+            return Err(SimError::NodePanicked(panicked));
         }
 
         let node_times: Vec<NodeTimes> = clocks
@@ -316,6 +331,22 @@ mod tests {
             }
         });
         assert_eq!(result.err(), Some(SimError::NodePanicked(1)));
+    }
+
+    #[test]
+    fn a_panic_fails_the_run_instead_of_hanging_blocked_peers() {
+        // Node 0 waits for a message node 1 never sends: without the inbox
+        // close on panic, joining node 0 would block forever.
+        let start = std::time::Instant::now();
+        let cluster: Cluster<u32> = Cluster::new(3, CostModel::fast_test());
+        let result = cluster.run(|ctx| {
+            if ctx.node_id().as_usize() == 1 {
+                panic!("boom");
+            }
+            ctx.receiver().recv().map(|(_, v)| v)
+        });
+        assert_eq!(result.err(), Some(SimError::NodePanicked(1)));
+        assert!(start.elapsed() < std::time::Duration::from_secs(10));
     }
 
     #[test]

@@ -65,8 +65,8 @@ pub use cluster::{Cluster, ClusterReport, NodeCtx};
 pub use cost::CostModel;
 pub use error::SimError;
 pub use event::{
-    ClassVolume, CrashPlan, CrashSpec, CrashTrigger, DeliveryMode, EngineConfig, EngineStats,
-    EventEngine, FaultPlan, TraceEntry,
+    ClassVolume, CrashPlan, CrashSpec, CrashTrigger, EngineConfig, EngineStats, EventEngine,
+    FaultPlan, TraceEntry,
 };
 pub use net::{Envelope, Network, NodeId, Receiver, Sender};
 pub use stats::{NetStats, NodeTimes};

@@ -110,6 +110,33 @@ fn tsp_piggyback_is_result_identical_across_16_seeds() {
     }
 }
 
+/// The adaptive relay is hop-aware: a relayed bundle reaches only the
+/// flusher's tree parent in one wire transit, so large `result` flushes from
+/// deeper ranks go direct instead of climbing the tree. With every result
+/// band above the relay threshold, a deep binary tree therefore moves the
+/// same bytes as the single-level barrier (8 procs, k = 8) to within 1%.
+#[test]
+fn deep_trees_do_not_relay_large_result_flushes_through_interior_nodes() {
+    let run = |fanout: usize| {
+        // 64×64 ints over 1 KB pages: each worker's 8-row result band is two
+        // full pages, both above the 512-byte relay threshold.
+        let mut params = matmul::MatmulParams::small(64, 8);
+        params.page_size = 1024;
+        params.engine = EngineConfig::seeded(5);
+        params.piggyback = true;
+        let cfg = matmul::munin_config(&params, CostModel::fast_test()).with_barrier_fanout(fanout);
+        let (m, c) = matmul::run_munin_with(params, cfg).unwrap();
+        assert_eq!(c, matmul::serial(64), "matmul diverged at fan-in {fanout}");
+        m.engine.bytes_sent
+    };
+    let (flat, deep) = (run(8), run(2));
+    let ratio = deep as f64 / flat as f64;
+    assert!(
+        (0.99..=1.01).contains(&ratio),
+        "k=2 bytes {deep} vs k=8 bytes {flat} (ratio {ratio:.4})"
+    );
+}
+
 /// The headline acceptance criterion: at 16 nodes, SOR's total protocol
 /// message count drops by at least 20% with piggybacking on AND total bytes
 /// stay within 1.1x of piggyback-off, with bit-identical results — in both

@@ -9,7 +9,8 @@ use munin::dsm::annotation::{ProtocolParams, SharingAnnotation};
 use munin::dsm::copyset::CopySet;
 use munin::dsm::diff;
 use munin::dsm::object::split_sizes;
-use munin::dsm::sync::{BarrierState, LockState, RemoteAcquireAction};
+use munin::dsm::sync::{BarrierState, BarrierStep, LockState, RemoteAcquireAction, TreeTopology};
+use munin::dsm::NodeSet;
 use munin::sim::{CostModel, EngineConfig, Network, NodeClock, NodeId, VirtTime};
 
 fn word_buffer(len_words: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -213,21 +214,56 @@ proptest! {
         prop_assert_eq!(engine_run(&sends, seed), reference_run(&sends, seed));
     }
 
-    /// A barrier opens exactly when the configured number of parties has
-    /// arrived, and is reusable afterwards.
+    /// A barrier opens exactly when every party has arrived — on the last
+    /// arrival, whatever the arrival order and tree fan-in — its release
+    /// reaches every party exactly once, and it is reusable afterwards.
     #[test]
-    fn barrier_opens_at_parties(parties in 1usize..16, episodes in 1usize..4) {
-        let mut barrier = BarrierState::new(NodeId::new(0), parties);
+    fn barrier_opens_at_parties(
+        parties in 1usize..16,
+        fanout in 2usize..16,
+        rotate in 0usize..16,
+        episodes in 1usize..4,
+    ) {
+        let topo = TreeTopology::new(NodeId::new(0), parties, fanout);
+        let mut nodes: Vec<BarrierState> = (0..parties)
+            .map(|i| BarrierState::new(topo, NodeId::new(i)))
+            .collect();
+        let alive = NodeSet::EMPTY;
         for episode in 0..episodes {
-            for i in 0..parties {
-                let released = barrier.arrive(NodeId::new(i % 4));
-                if i + 1 < parties {
-                    prop_assert!(released.is_none());
-                } else {
-                    prop_assert_eq!(released.unwrap().len(), parties);
+            let mut opened = None;
+            for a in 0..parties {
+                let mut at = (a + rotate) % parties;
+                nodes[at].arrived.insert(NodeId::new(at));
+                // Carry reports up the tree until one holds or opens.
+                loop {
+                    match nodes[at].step(NodeId::new(at), &alive) {
+                        BarrierStep::Hold => break,
+                        BarrierStep::Report { parent, gen, arrived } => {
+                            let p = parent.as_usize();
+                            prop_assert!(nodes[p].receive_report(NodeId::new(at), gen, &arrived));
+                            at = p;
+                        }
+                        BarrierStep::Open { gen, children } => {
+                            prop_assert!(opened.is_none(), "opened twice");
+                            opened = Some((a, gen, children));
+                            break;
+                        }
+                    }
                 }
             }
-            prop_assert_eq!(barrier.generation, (episode + 1) as u64);
+            let (last, gen, children) = opened.expect("the barrier never opened");
+            prop_assert_eq!(last, parties - 1);
+            prop_assert_eq!(gen, (episode + 1) as u64);
+            // Fan the release down the dynamic edges.
+            let mut released = 1;
+            let mut frontier = children;
+            while let Some((child, _)) = frontier.pop() {
+                let more = nodes[child.as_usize()].receive_release(gen, &alive);
+                prop_assert!(more.is_some(), "release delivered twice");
+                frontier.extend(more.unwrap());
+                released += 1;
+            }
+            prop_assert_eq!(released, parties);
         }
     }
 }
@@ -311,7 +347,7 @@ mod reference_model {
         }
 
         /// Schedules one faultless submission (mirrors `EventEngine::submit`
-        /// in `DeliveryMode::VirtualTime` with `FaultPlan::none()`).
+        /// with `FaultPlan::none()`).
         pub fn submit(&mut self, src: usize, dst: usize, arrival_ns: u64, payload: u64) {
             let seq = self.next_seq;
             self.next_seq += 1;
