@@ -85,6 +85,19 @@ pub struct CarrierUpdate {
     pub sync_install: bool,
 }
 
+impl CarrierUpdate {
+    /// The same bundle sent on its own: a standalone `Update` in the same
+    /// stream slot.
+    pub fn into_update(self, needs_ack: bool) -> DsmMsg {
+        DsmMsg::Update {
+            items: self.items,
+            requester: self.from,
+            seq: self.seq,
+            needs_ack,
+        }
+    }
+}
+
 /// A flush update riding `BarrierArrive` reports up the barrier tree, or a
 /// `BarrierRelease` down it, towards `dest` — where it is installed before
 /// the release that frames it is routed to the user thread. Two kinds of flush
@@ -224,7 +237,7 @@ pub enum DsmMsg {
     /// the owner→receiver link directly (FIFO, no carrier detour), and the
     /// re-fanning service thread may run while the owner's user thread has
     /// relay bundles holding earlier stream slots parked at a barrier owner
-    /// (see `handle_relay_forward` for the full argument). The
+    /// (see `handle_relay_fanout` for the full argument). The
     /// acknowledgement still goes to `origin`, whose release is what the
     /// update belongs to.
     RelayForward {
@@ -234,7 +247,8 @@ pub enum DsmMsg {
         /// [`DsmMsg::UpdateAck`] goes here, not to the wire sender.
         origin: NodeId,
         /// The originating fan-out's sequence number (origin → owner
-        /// stream), carried for trace correlation only.
+        /// stream), carried for correlation with the owner's re-fan record
+        /// only.
         seq: u64,
     },
     /// Acknowledgement of an [`DsmMsg::Update`].

@@ -72,14 +72,7 @@ impl NodeRuntime {
                 .into_iter()
                 .map(|(dest, items)| {
                     add(&self.stats.msgs_piggybacked, 1);
-                    self.note_update_sent(&items);
-                    let bundle = CarrierUpdate {
-                        from: self.node,
-                        seq: self.next_update_seq(dest),
-                        items,
-                        sync_install: false,
-                    };
-                    (dest, bundle)
+                    (dest, self.stream_bundle(dest, items))
                 })
                 .collect();
             let mut outbox = self.outbox.lock();
@@ -176,16 +169,7 @@ impl NodeRuntime {
                     outbox.take_relay_within(barrier, &covered, child),
                 )
             };
-            if let Some((pending, seq)) = self.take_pending_with_seq(child) {
-                add(&self.stats.msgs_piggybacked, 1);
-                self.note_update_sent(&pending);
-                updates.push(CarrierUpdate {
-                    from: self.node,
-                    seq,
-                    items: pending,
-                    sync_install: false,
-                });
-            }
+            updates.extend(self.take_pending_bundle(child, Vec::new()));
             let release = DsmMsg::BarrierRelease { barrier, gen };
             let msg = if updates.is_empty() && stashed.is_empty() {
                 release

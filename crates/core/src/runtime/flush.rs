@@ -31,7 +31,7 @@ use crate::nodeset::NodeSet;
 use crate::object::ObjectId;
 use crate::stats::{add, bump};
 
-use super::NodeRuntime;
+use super::{NodeRuntime, WaitOp};
 
 /// Routing decision for one flushed object: the destinations its changes go
 /// to, whether they fan out to a copyset (`true`) or flush to the owner
@@ -86,13 +86,75 @@ pub(crate) enum FlushMode {
     },
 }
 
-/// Where one (entry destination) pair goes under a given flush mode.
+/// Where one (item, destination) pair goes under a given flush mode.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Dispatch {
     Immediate,
     Relay,
     Buffer,
 }
+
+/// A flush's per-destination items, by dispatch.
+#[derive(Default)]
+struct Queued {
+    immediate: BTreeMap<NodeId, Vec<UpdateItem>>,
+    relay: BTreeMap<NodeId, Vec<UpdateItem>>,
+    buffered: BTreeMap<NodeId, Vec<UpdateItem>>,
+}
+
+impl Queued {
+    fn push(&mut self, d: Dispatch, dest: NodeId, item: UpdateItem) {
+        let map = match d {
+            Dispatch::Immediate => &mut self.immediate,
+            Dispatch::Relay => &mut self.relay,
+            Dispatch::Buffer => &mut self.buffered,
+        };
+        map.entry(dest).or_default().push(item);
+    }
+}
+
+/// The static dispatch class of one (item, destination) pair under `mode`,
+/// before the adaptive relay bypass. Pure, so the send-scheduling pre-pass
+/// and its count drain agree with each other.
+fn classify(mode: FlushMode, route: &FlushRoute, dest: NodeId) -> Dispatch {
+    debug_assert!(
+        route.coop_owner.is_none(),
+        "owner-cooperative routes are dispatched whole, never per-destination"
+    );
+    if !route.fans_out {
+        // `result` flushes go to the fixed owner; they can ride a barrier
+        // arrive that is already headed there (the owner installs the
+        // bundle before counting the arrival, which is at least as early
+        // as the legacy apply-then-ack).
+        match mode {
+            FlushMode::BarrierRelay { owner, .. } if dest == owner => Dispatch::Relay,
+            _ => Dispatch::Immediate,
+        }
+    } else if !route.owned {
+        // Non-owned fan-out updates outside the cooperative path (fixed
+        // copysets, piggybacking off) keep the acknowledged path: the
+        // owner's ack carries its recorded copyset, which the heal logic
+        // needs (see `AckRound::finish`).
+        Dispatch::Immediate
+    } else {
+        match mode {
+            FlushMode::Immediate => Dispatch::Immediate,
+            FlushMode::Coalesce => Dispatch::Buffer,
+            FlushMode::BarrierRelay { .. } => Dispatch::Relay,
+            FlushMode::LockRelay { grantee } if dest == grantee => Dispatch::Relay,
+            FlushMode::LockRelay { .. } => Dispatch::Immediate,
+        }
+    }
+}
+
+/// The route of a coalesced outbox item: owner-flushed fan-out, since only
+/// those are ever buffered.
+const OWNER_FANOUT: FlushRoute = FlushRoute {
+    fans_out: true,
+    owned: true,
+    coop_owner: None,
+    destinations: NodeSet::EMPTY,
+};
 
 /// Replaces a route's destinations (used by the encode paths that resolve to
 /// "nothing to send" after applying their state transitions).
@@ -103,35 +165,244 @@ fn route_with(route: FlushRoute, destinations: NodeSet) -> FlushRoute {
     }
 }
 
-fn classify(mode: FlushMode, route: &FlushRoute, dest: NodeId) -> Dispatch {
-    debug_assert!(
-        route.coop_owner.is_none(),
-        "owner-cooperative routes are dispatched whole, never per-destination"
-    );
-    if route.fans_out {
-        if !route.owned {
-            // Non-owned fan-out updates outside the cooperative path (fixed
-            // copysets, piggybacking off) keep the acknowledged path: the
-            // owner's ack carries its recorded copyset, which the heal
-            // logic needs (see the ack round below).
-            return Dispatch::Immediate;
+/// One acknowledged-update round — the conservative release consistency of
+/// a flush: updates are performed at the release. Shared by the DUQ flush
+/// and the coalescing-window close: it sends, counts acks, writes off dead
+/// peers, heals members an owner reports missed, and falls back to the
+/// degraded broadcast when a cooperative owner dies or bounces a bundle.
+struct AckRound {
+    op: WaitOp,
+    expected: usize,
+    /// Outstanding acks per destination: when a destination is confirmed
+    /// dead mid-round, its share of `expected` is written off.
+    outstanding: BTreeMap<NodeId, usize>,
+    /// Fan-out payloads are retained (cheap: the buffers are `Arc`-shared)
+    /// until the round completes, so updates can be re-sent to copyset
+    /// members the owner reports as missed.
+    fanout: HashMap<ObjectId, (UpdatePayload, NodeSet)>,
+    /// Outstanding owner-cooperative fan-out acks, with the bundle retained
+    /// so a bounced item or a dead owner can fall back to the degraded
+    /// broadcast. The round must not end while any entry remains: the
+    /// fan-out ack names the re-fan destinations whose own acks this release
+    /// still has to count.
+    coop: BTreeMap<NodeId, Vec<UpdateItem>>,
+}
+
+impl AckRound {
+    fn new(op: WaitOp) -> Self {
+        AckRound {
+            op,
+            expected: 0,
+            outstanding: BTreeMap::new(),
+            fanout: HashMap::new(),
+            coop: BTreeMap::new(),
         }
-        match mode {
-            FlushMode::Immediate => Dispatch::Immediate,
-            FlushMode::Coalesce => Dispatch::Buffer,
-            FlushMode::BarrierRelay { .. } => Dispatch::Relay,
-            FlushMode::LockRelay { grantee } if dest == grantee => Dispatch::Relay,
-            FlushMode::LockRelay { .. } => Dispatch::Immediate,
+    }
+
+    fn expect(&mut self, dest: NodeId) {
+        self.expected += 1;
+        *self.outstanding.entry(dest).or_default() += 1;
+    }
+
+    /// Sends `items` to `dest` as one acknowledged `Update`.
+    fn send(&mut self, rt: &Arc<NodeRuntime>, dest: NodeId, items: Vec<UpdateItem>) -> Result<()> {
+        if dest != rt.node && rt.is_peer_dead(dest) {
+            // Confirmed dead after the route was computed: recovery has
+            // already pruned it from the copysets; nothing to send.
+            return Ok(());
         }
-    } else {
-        // `result` flushes go to the fixed owner; they can ride a barrier
-        // arrive that is already headed there (the owner installs the bundle
-        // before counting the arrival, which is at least as early as the
-        // legacy apply-then-ack).
-        match mode {
-            FlushMode::BarrierRelay { owner, .. } if dest == owner => Dispatch::Relay,
-            _ => Dispatch::Immediate,
+        crate::runtime::proto_trace!(
+            rt,
+            "update -> {dest:?}: {:?}",
+            items.iter().map(|i| i.object).collect::<Vec<_>>()
+        );
+        rt.send(dest, rt.stream_bundle(dest, items).into_update(true))?;
+        self.expect(dest);
+        Ok(())
+    }
+
+    /// Owner-cooperative fan-out: ships a non-owned bundle whole to its
+    /// owner, which installs it and re-fans to the members of its
+    /// authoritative copyset — no determination round, no heal round. The
+    /// origin counts one `RelayFanoutAck` per bundle plus one `UpdateAck`
+    /// per re-fan destination the owner reports.
+    fn send_coop(
+        &mut self,
+        rt: &Arc<NodeRuntime>,
+        owner: NodeId,
+        items: Vec<UpdateItem>,
+    ) -> Result<()> {
+        debug_assert_ne!(owner, rt.node, "coop routes never point home");
+        if rt.is_peer_dead(owner) {
+            return self.broadcast_degraded(rt, items);
         }
+        crate::runtime::proto_trace!(
+            rt,
+            "coop relay -> {owner:?}: {:?}",
+            items.iter().map(|i| i.object).collect::<Vec<_>>()
+        );
+        let bundle = rt.stream_bundle(owner, items.clone());
+        rt.send(
+            owner,
+            DsmMsg::RelayFanout {
+                items: bundle.items,
+                origin: rt.node,
+                seq: bundle.seq,
+            },
+        )?;
+        self.expect(owner);
+        self.coop.insert(owner, items);
+        Ok(())
+    }
+
+    /// Degraded fallback when a cooperative owner is dead or bounced the
+    /// bundle: every live peer gets it as an ordinary acknowledged update.
+    /// Peers without a copy discard it on apply — the cost of not running a
+    /// determination round inside the ack loop, whose wait may only observe
+    /// update acks.
+    fn broadcast_degraded(&mut self, rt: &Arc<NodeRuntime>, items: Vec<UpdateItem>) -> Result<()> {
+        for peer in rt.live_peers().iter() {
+            self.send(rt, peer, items.clone())?;
+        }
+        Ok(())
+    }
+
+    /// Waits out the round. Owners piggyback their authoritative recorded
+    /// copysets on the ack; any member they know of that this flush did not
+    /// reach — a replica whose fetch was served *after* our copyset query
+    /// was answered — gets the update re-sent now, and the release completes
+    /// only once those re-sends are acknowledged too. Re-sends travel on
+    /// this node's own lanes, so they can never overtake (or be overtaken
+    /// by) this node's later flushes.
+    fn finish(mut self, rt: &Arc<NodeRuntime>) -> Result<()> {
+        let mut acks = 0usize;
+        let mut handled = NodeSet::EMPTY;
+        while acks < self.expected || !self.coop.is_empty() {
+            let (env, reply) = match rt.wait_reply_or_dead(self.op, &mut handled) {
+                Ok(reply) => reply,
+                Err(MuninError::PeerDied(n)) => {
+                    // A dead destination's acks will never arrive: write
+                    // off everything still outstanding towards it. Its
+                    // copies are unreachable, which is the post-crash
+                    // equivalent of "update performed".
+                    self.expected -= self.outstanding.remove(&n).unwrap_or(0);
+                    if let Some(items) = self.coop.remove(&n) {
+                        // A cooperative owner died before acking. It may or
+                        // may not have re-fanned already; the degraded
+                        // broadcast re-sends on this node's own lanes, so
+                        // every receiver's stream check drops whichever copy
+                        // arrives second. (Re-fan acks already in flight
+                        // from before the crash are absorbed by this loop's
+                        // count — death confirmation takes a full detection
+                        // window, far longer than any delivery.)
+                        self.broadcast_degraded(rt, items)?;
+                    }
+                    continue;
+                }
+                Err(e) => return Err(e),
+            };
+            // Only a DUQ flush ships cooperative bundles, so only its round
+            // takes fan-out acks; the window close coalesces owner-flushed
+            // items alone, and a fan-out ack there is a protocol violation,
+            // never one of its acks.
+            let coop_acks = self.op == WaitOp::UpdateAcks;
+            if matches!(reply, DsmMsg::UpdateAck { .. })
+                || (coop_acks && matches!(reply, DsmMsg::RelayFanoutAck { .. }))
+            {
+                acks += 1;
+                if let Some(o) = self.outstanding.get_mut(&env.src) {
+                    *o = o.saturating_sub(1);
+                }
+            }
+            match reply {
+                DsmMsg::RelayFanoutAck { refanned, rejected } if coop_acks => {
+                    let Some(items) = self.coop.remove(&env.src) else {
+                        // Duplicate ack for an already-settled bundle (the
+                        // stale-sequence path at the owner); counted like a
+                        // duplicate update ack.
+                        continue;
+                    };
+                    // Each re-fan destination acknowledges this node
+                    // directly; their acks join this release's count.
+                    for dest in refanned {
+                        self.expect(dest);
+                    }
+                    if rejected.is_empty() {
+                        continue;
+                    }
+                    // The ownership hint was stale: point it back at the home
+                    // node (first link of the probable-owner chain) and fall
+                    // back to the degraded broadcast for the bounced objects.
+                    let rejected: BTreeSet<ObjectId> = rejected.into_iter().collect();
+                    {
+                        let mut dir = rt.dir.lock();
+                        for o in &rejected {
+                            let e = dir.entry_mut(*o);
+                            if !e.state.owned {
+                                e.probable_owner = e.home;
+                            }
+                        }
+                    }
+                    let bounced: Vec<UpdateItem> = items
+                        .into_iter()
+                        .filter(|i| rejected.contains(&i.object))
+                        .collect();
+                    if !bounced.is_empty() {
+                        self.broadcast_degraded(rt, bounced)?;
+                    }
+                }
+                DsmMsg::UpdateAck { owned_copysets, .. } => {
+                    // Batch the heals per missed member, preserving the
+                    // normal flush path's one-Update-per-destination shape:
+                    // an owner reporting k objects that all missed the same
+                    // late-fetching member costs one message, not k.
+                    let mut heal: BTreeMap<NodeId, Vec<UpdateItem>> = BTreeMap::new();
+                    for (object, owner_set) in owned_copysets {
+                        let Some((payload, sent)) = self.fanout.get_mut(&object) else {
+                            continue;
+                        };
+                        let missed: Vec<NodeId> = owner_set
+                            .iter(rt.nodes, Some(rt.node))
+                            .filter(|m| !sent.contains(*m))
+                            .collect();
+                        if missed.is_empty() {
+                            continue;
+                        }
+                        // Remember the healed members for future flushes of
+                        // this object (mirrors the owner-side serve-record
+                        // merge).
+                        {
+                            let mut dir = rt.dir.lock();
+                            let e = dir.entry_mut(object);
+                            e.copyset = e.copyset.union(&owner_set);
+                        }
+                        for m in missed {
+                            crate::runtime::proto_trace!(
+                                rt,
+                                "heal {object:?} -> {m:?} (owner-reported member missed at determination)"
+                            );
+                            add(&rt.stats.updates_healed, 1);
+                            sent.insert(m);
+                            heal.entry(m).or_default().push(UpdateItem {
+                                object,
+                                payload: payload.clone(),
+                            });
+                        }
+                    }
+                    for (member, items) in heal {
+                        self.send(rt, member, items)?;
+                    }
+                }
+                other => {
+                    return Err(MuninError::ProtocolViolation(match other {
+                        _ if !coop_acks => "unexpected reply while closing the coalescing window",
+                        DsmMsg::ObjectData { .. } => "unexpected ObjectData during flush",
+                        _ => "unexpected reply while waiting for update acks",
+                    }))
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -293,152 +564,37 @@ impl NodeRuntime {
         // of earlier hint flushes (older changes first); in the relay modes
         // the coalesced items ride the carrier like everything else
         // owner-flushed.
-        let mut pending: BTreeMap<NodeId, Vec<UpdateItem>> = BTreeMap::new();
-        let mut relay: BTreeMap<NodeId, Vec<UpdateItem>> = BTreeMap::new();
-        let mut buffered: BTreeMap<NodeId, Vec<UpdateItem>> = BTreeMap::new();
-        // Owner-cooperative bundles, keyed by the owner they ship to.
-        let mut coop: BTreeMap<NodeId, Vec<UpdateItem>> = BTreeMap::new();
-        // Adaptive relay: a barrier-relayed payload bound for anyone but the
-        // flusher's tree parent transits the wire at least twice (up to a
-        // common ancestor, then down to the destination). At or above the
-        // configured size threshold the byte multiplication outweighs the
-        // saved message, so the payload goes direct as an ordinary
-        // sequenced update instead. Parent-bound bundles (the owner, in a
-        // single-level tree) and lock-relay bundles ride single-transit and
-        // are never bypassed. Charges the bypass stats as a side effect, so
-        // call it only at a real dispatch decision.
-        let bypass = |rt: &Arc<Self>, dest: NodeId, bytes: u64| -> bool {
-            let FlushMode::BarrierRelay { parent, .. } = mode else {
-                return false;
-            };
-            if Some(dest) == parent || bytes < rt.cfg.relay_max_bytes {
-                return false;
-            }
-            add(&rt.stats.relay_bypassed_bytes, bytes);
-            rt.obs.record(
-                rt.clock.now().as_nanos(),
-                crate::obs::EventKind::RelayBypass,
-                |ev| {
-                    ev.peer = Some(dest);
-                    ev.seq = Some(bytes);
-                },
-            );
-            true
-        };
+        let mut queued = Queued::default();
         for (dest, items) in coalesced {
             for item in items {
-                let relayed = match mode {
-                    FlushMode::BarrierRelay { .. } => {
-                        !bypass(self, dest, item.payload.model_bytes())
-                    }
-                    FlushMode::LockRelay { grantee } => dest == grantee,
-                    _ => false,
-                };
-                if relayed {
-                    relay.entry(dest).or_default().push(item);
-                } else {
-                    pending.entry(dest).or_default().push(item);
-                }
+                let d = self.flush_dispatch(mode, &OWNER_FANOUT, dest, item.payload.model_bytes());
+                queued.push(d, dest, item);
             }
         }
-        // Fan-out payloads are retained (cheap: the buffers are `Arc`-shared)
-        // until the ack round completes, so updates can be re-sent to copyset
-        // members the owner reports as missed.
-        let mut fanout: HashMap<ObjectId, (UpdatePayload, NodeSet)> = HashMap::new();
-        let mut expected_acks = 0usize;
-        // Outstanding acks per destination: when a destination is confirmed
-        // dead mid-round, its share of `expected_acks` is written off.
-        let mut outstanding: BTreeMap<NodeId, usize> = BTreeMap::new();
-        // Outstanding owner-cooperative fan-out acks, with the bundle
-        // retained so a bounced item or a dead owner can fall back to the
-        // degraded broadcast. The ack loop must not exit while any entry
-        // remains: the fan-out ack names the re-fan destinations whose own
-        // acks this release still has to count.
-        let mut coop_pending: BTreeMap<NodeId, Vec<UpdateItem>> = BTreeMap::new();
-        let send_update = |rt: &Arc<Self>,
-                           dest: NodeId,
-                           items: Vec<UpdateItem>,
-                           expected_acks: &mut usize,
-                           outstanding: &mut BTreeMap<NodeId, usize>|
-         -> Result<()> {
-            if dest != rt.node && rt.is_peer_dead(dest) {
-                // Confirmed dead after the route was computed: recovery has
-                // already pruned it from the copysets; nothing to send.
-                return Ok(());
-            }
-            crate::runtime::proto_trace!(
-                rt,
-                "flush -> {dest:?}: {:?}",
-                items.iter().map(|i| i.object).collect::<Vec<_>>()
-            );
-            rt.note_update_sent(&items);
-            let seq = rt.next_update_seq(dest);
-            rt.send(
-                dest,
-                DsmMsg::Update {
-                    items,
-                    requester: rt.node,
-                    seq,
-                    needs_ack: true,
-                },
-            )?;
-            *expected_acks += 1;
-            *outstanding.entry(dest).or_default() += 1;
-            Ok(())
-        };
-        // Degraded fallback when a cooperative owner is dead or bounced the
-        // bundle: every live peer gets it as an ordinary acknowledged update.
-        // Peers without a copy discard it on apply — the cost of not running
-        // a determination round inside the ack loop, whose wait may only
-        // observe update acks.
-        let broadcast_degraded = |rt: &Arc<Self>,
-                                  items: Vec<UpdateItem>,
-                                  expected_acks: &mut usize,
-                                  outstanding: &mut BTreeMap<NodeId, usize>|
-         -> Result<()> {
-            for peer in rt.live_peers().iter() {
-                send_update(rt, peer, items.clone(), expected_acks, outstanding)?;
-            }
-            Ok(())
-        };
+        // Owner-cooperative bundles, keyed by the owner they ship to.
+        let mut coop: BTreeMap<NodeId, Vec<UpdateItem>> = BTreeMap::new();
+        let mut round = AckRound::new(WaitOp::UpdateAcks);
         for (entry, pre_route) in entries.into_iter().zip(&routes) {
             let object = entry.object;
             let (payload, route) = self.encode_entry(entry)?;
             if let Some(payload) = &payload {
+                let item = || UpdateItem {
+                    object,
+                    payload: payload.clone(),
+                };
                 if let Some(owner) = route.coop_owner {
-                    coop.entry(owner).or_default().push(UpdateItem {
-                        object,
-                        payload: payload.clone(),
-                    });
+                    coop.entry(owner).or_default().push(item());
                 } else {
                     let mut any_immediate = false;
                     for dest in route.destinations.iter() {
-                        let item = UpdateItem {
-                            object,
-                            payload: payload.clone(),
-                        };
-                        match classify(mode, &route, dest) {
-                            Dispatch::Immediate => {
-                                any_immediate = true;
-                                pending.entry(dest).or_default().push(item);
-                            }
-                            Dispatch::Relay => {
-                                if bypass(self, dest, item.payload.model_bytes()) {
-                                    // Too big to pay the double transit:
-                                    // sent directly (via the catch-all
-                                    // below), acknowledged like any other
-                                    // sequenced update.
-                                    any_immediate = true;
-                                    pending.entry(dest).or_default().push(item);
-                                } else {
-                                    relay.entry(dest).or_default().push(item);
-                                }
-                            }
-                            Dispatch::Buffer => buffered.entry(dest).or_default().push(item),
-                        }
+                        let d = self.flush_dispatch(mode, &route, dest, payload.model_bytes());
+                        any_immediate |= d == Dispatch::Immediate;
+                        queued.push(d, dest, item());
                     }
                     if route.fans_out && any_immediate {
-                        fanout.insert(object, (payload.clone(), route.destinations.clone()));
+                        round
+                            .fanout
+                            .insert(object, (payload.clone(), route.destinations.clone()));
                     }
                 }
             }
@@ -456,50 +612,28 @@ impl NodeRuntime {
                     .expect("route destinations are all counted");
                 *rem -= 1;
                 if *rem == 0 {
-                    if let Some(items) = pending.remove(&dest) {
-                        send_update(self, dest, items, &mut expected_acks, &mut outstanding)?;
+                    if let Some(items) = queued.immediate.remove(&dest) {
+                        round.send(self, dest, items)?;
                     }
                 }
             }
         }
+        let Queued {
+            immediate,
+            relay,
+            buffered,
+        } = queued;
         // Catch-all: a destination `encode_entry` routed to but the pre-pass
         // did not (the directory changed between the two reads — e.g. the
-        // service thread recorded a new replica while we flushed) still gets
-        // its update here.
-        for (dest, items) in std::mem::take(&mut pending) {
+        // service thread recorded a new replica while we flushed — or the
+        // relay bypass sent a payload direct) still gets its update here.
+        for (dest, items) in immediate {
             if !items.is_empty() {
-                send_update(self, dest, items, &mut expected_acks, &mut outstanding)?;
+                round.send(self, dest, items)?;
             }
         }
-        // Owner-cooperative fan-out: each non-owned bundle ships whole to
-        // its owner, which installs it and re-fans to the members of its
-        // authoritative copyset — no determination round, no heal round.
-        // The origin counts one `RelayFanoutAck` per bundle plus one
-        // `UpdateAck` per re-fan destination the owner reports.
         for (owner, items) in coop {
-            debug_assert_ne!(owner, self.node, "coop routes never point home");
-            if self.is_peer_dead(owner) {
-                broadcast_degraded(self, items, &mut expected_acks, &mut outstanding)?;
-                continue;
-            }
-            crate::runtime::proto_trace!(
-                self,
-                "coop relay -> {owner:?}: {:?}",
-                items.iter().map(|i| i.object).collect::<Vec<_>>()
-            );
-            self.note_update_sent(&items);
-            let seq = self.next_update_seq(owner);
-            self.send(
-                owner,
-                DsmMsg::RelayFanout {
-                    items: items.clone(),
-                    origin: self.node,
-                    seq,
-                },
-            )?;
-            expected_acks += 1;
-            *outstanding.entry(owner).or_default() += 1;
-            coop_pending.insert(owner, items);
+            round.send_coop(self, owner, items)?;
         }
         // Coalesced items go back to the outbox; they are delivered by the
         // next transmission to their destination or at the window close.
@@ -527,145 +661,7 @@ impl NodeRuntime {
                 );
             }
         }
-
-        // Ack round (conservative release consistency: updates are performed
-        // at the release). Owners piggyback their authoritative recorded
-        // copysets on the ack; any member they know of that this flush did
-        // not reach — a replica whose fetch was served *after* our copyset
-        // query was answered — gets the update re-sent now, and the release
-        // completes only once those re-sends are acknowledged too. Re-sends
-        // travel on this node's own lanes, so they can never overtake (or be
-        // overtaken by) this node's later flushes.
-        let mut acks = 0usize;
-        let mut handled = crate::nodeset::NodeSet::EMPTY;
-        while acks < expected_acks || !coop_pending.is_empty() {
-            let (env, reply) =
-                match self.wait_reply_or_dead(crate::runtime::WaitOp::UpdateAcks, &mut handled) {
-                    Ok(reply) => reply,
-                    Err(MuninError::PeerDied(n)) => {
-                        // A dead destination's acks will never arrive: write
-                        // off everything still outstanding towards it. Its
-                        // copies are unreachable, which is the post-crash
-                        // equivalent of "update performed".
-                        let lost = outstanding.remove(&n).unwrap_or(0);
-                        expected_acks -= lost;
-                        if let Some(items) = coop_pending.remove(&n) {
-                            // A cooperative owner died before acking. It may
-                            // or may not have re-fanned already; the degraded
-                            // broadcast re-sends on this node's own lanes, so
-                            // every receiver's stream check drops whichever
-                            // copy arrives second. (Re-fan acks already in
-                            // flight from before the crash are absorbed by
-                            // this loop's count — death confirmation takes a
-                            // full detection window, far longer than any
-                            // delivery.)
-                            broadcast_degraded(self, items, &mut expected_acks, &mut outstanding)?;
-                        }
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                };
-            match reply {
-                DsmMsg::RelayFanoutAck { refanned, rejected } => {
-                    acks += 1;
-                    if let Some(o) = outstanding.get_mut(&env.src) {
-                        *o = o.saturating_sub(1);
-                    }
-                    let Some(items) = coop_pending.remove(&env.src) else {
-                        // Duplicate ack for an already-settled bundle (the
-                        // stale-sequence path at the owner); counted like a
-                        // duplicate update ack.
-                        continue;
-                    };
-                    // Each re-fan destination acknowledges this node
-                    // directly; their acks join this release's count.
-                    expected_acks += refanned.len();
-                    for dest in &refanned {
-                        *outstanding.entry(*dest).or_default() += 1;
-                    }
-                    if !rejected.is_empty() {
-                        // The ownership hint was stale: point it back at the
-                        // home node (first link of the probable-owner chain)
-                        // and fall back to the degraded broadcast for the
-                        // bounced objects.
-                        let rejected: BTreeSet<ObjectId> = rejected.into_iter().collect();
-                        {
-                            let mut dir = self.dir.lock();
-                            for o in &rejected {
-                                let e = dir.entry_mut(*o);
-                                if !e.state.owned {
-                                    e.probable_owner = e.home;
-                                }
-                            }
-                        }
-                        let bounced: Vec<UpdateItem> = items
-                            .into_iter()
-                            .filter(|i| rejected.contains(&i.object))
-                            .collect();
-                        if !bounced.is_empty() {
-                            broadcast_degraded(
-                                self,
-                                bounced,
-                                &mut expected_acks,
-                                &mut outstanding,
-                            )?;
-                        }
-                    }
-                }
-                DsmMsg::UpdateAck { owned_copysets, .. } => {
-                    acks += 1;
-                    if let Some(o) = outstanding.get_mut(&env.src) {
-                        *o = o.saturating_sub(1);
-                    }
-                    // Batch the heals per missed member, preserving the
-                    // normal flush path's one-Update-per-destination shape:
-                    // an owner reporting k objects that all missed the same
-                    // late-fetching member costs one message, not k.
-                    let mut heal: BTreeMap<NodeId, Vec<UpdateItem>> = BTreeMap::new();
-                    for (object, owner_set) in owned_copysets {
-                        let Some((payload, sent)) = fanout.get_mut(&object) else {
-                            continue;
-                        };
-                        let missed: Vec<NodeId> = owner_set
-                            .iter(self.nodes, Some(self.node))
-                            .filter(|m| !sent.contains(*m))
-                            .collect();
-                        if missed.is_empty() {
-                            continue;
-                        }
-                        // Remember the healed members for future flushes of
-                        // this object (mirrors the owner-side serve-record
-                        // merge).
-                        {
-                            let mut dir = self.dir.lock();
-                            let e = dir.entry_mut(object);
-                            e.copyset = e.copyset.union(&owner_set);
-                        }
-                        for m in missed {
-                            crate::runtime::proto_trace!(
-                                self,
-                                "heal {object:?} -> {m:?} (owner-reported member missed at determination)"
-                            );
-                            add(&self.stats.updates_healed, 1);
-                            sent.insert(m);
-                            heal.entry(m).or_default().push(UpdateItem {
-                                object,
-                                payload: payload.clone(),
-                            });
-                        }
-                    }
-                    for (member, items) in heal {
-                        send_update(self, member, items, &mut expected_acks, &mut outstanding)?;
-                    }
-                }
-                other => {
-                    return Err(MuninError::ProtocolViolation(match other {
-                        DsmMsg::ObjectData { .. } => "unexpected ObjectData during flush",
-                        _ => "unexpected reply while waiting for update acks",
-                    }))
-                }
-            }
-        }
+        round.finish(self)?;
         Ok(relay)
     }
 
@@ -673,62 +669,53 @@ impl NodeRuntime {
     /// when the coalescing window closes: at an acquire (the issue's
     /// "no acquire intervened" rule) and when a worker finishes, so no
     /// buffered change can outlive the run. Runs on the user thread (it
-    /// blocks for the acks).
+    /// blocks for the acks). Only owner-flushed items are ever coalesced, so
+    /// the acks carry no copysets this node would need to heal against.
     pub(crate) fn close_coalescing_window(self: &Arc<Self>) -> Result<()> {
         let pending = self.outbox.lock().drain_pending();
-        if pending.is_empty() {
-            return Ok(());
-        }
-        let mut expected_acks = 0usize;
-        let mut outstanding: BTreeMap<NodeId, usize> = BTreeMap::new();
+        let mut round = AckRound::new(WaitOp::WindowAcks);
         for (dest, items) in pending {
-            if dest != self.node && self.is_peer_dead(dest) {
-                continue;
-            }
-            crate::runtime::proto_trace!(
-                self,
-                "window close -> {dest:?}: {:?}",
-                items.iter().map(|i| i.object).collect::<Vec<_>>()
-            );
-            self.note_update_sent(&items);
-            let seq = self.next_update_seq(dest);
-            self.send(
-                dest,
-                DsmMsg::Update {
-                    items,
-                    requester: self.node,
-                    seq,
-                    needs_ack: true,
-                },
-            )?;
-            expected_acks += 1;
-            *outstanding.entry(dest).or_default() += 1;
+            round.send(self, dest, items)?;
         }
-        let mut acks = 0usize;
-        let mut handled = crate::nodeset::NodeSet::EMPTY;
-        while acks < expected_acks {
-            match self.wait_reply_or_dead(crate::runtime::WaitOp::WindowAcks, &mut handled) {
-                // Only owner-flushed items are ever coalesced, so the acks
-                // carry no copysets this node would need to heal against.
-                Ok((env, DsmMsg::UpdateAck { .. })) => {
-                    acks += 1;
-                    if let Some(o) = outstanding.get_mut(&env.src) {
-                        *o = o.saturating_sub(1);
-                    }
-                }
-                Ok(_) => {
-                    return Err(MuninError::ProtocolViolation(
-                        "unexpected reply while closing the coalescing window",
-                    ))
-                }
-                Err(MuninError::PeerDied(n)) => {
-                    let lost = outstanding.remove(&n).unwrap_or(0);
-                    expected_acks -= lost;
-                }
-                Err(e) => return Err(e),
-            }
+        round.finish(self)
+    }
+
+    /// Decides where one flushed (item, destination) pair goes under `mode`:
+    /// the one dispatch decision of a flush, for DUQ entries and coalesced
+    /// outbox items (`OWNER_FANOUT`) alike. `classify`, then the adaptive
+    /// relay bypass for a payload of `bytes`, which charges its stats.
+    fn flush_dispatch(
+        &self,
+        mode: FlushMode,
+        route: &FlushRoute,
+        dest: NodeId,
+        bytes: u64,
+    ) -> Dispatch {
+        let class = classify(mode, route, dest);
+        // Adaptive relay: a barrier-relayed payload bound for anyone but the
+        // flusher's tree parent transits the wire at least twice (up to a
+        // common ancestor, then down to the destination). At or above the
+        // configured size threshold the byte multiplication outweighs the
+        // saved message, so the payload goes direct as an ordinary
+        // sequenced update instead. Parent-bound bundles (the owner, in a
+        // single-level tree) and lock-relay bundles ride single-transit and
+        // are never bypassed.
+        let FlushMode::BarrierRelay { parent, .. } = mode else {
+            return class;
+        };
+        if class != Dispatch::Relay || Some(dest) == parent || bytes < self.cfg.relay_max_bytes {
+            return class;
         }
-        Ok(())
+        add(&self.stats.relay_bypassed_bytes, bytes);
+        self.obs.record(
+            self.clock.now().as_nanos(),
+            crate::obs::EventKind::RelayBypass,
+            |ev| {
+                ev.peer = Some(dest);
+                ev.seq = Some(bytes);
+            },
+        );
+        Dispatch::Immediate
     }
 
     /// Computes where one flushed object's changes go. The single source of
@@ -1442,6 +1429,72 @@ mod tests {
         assert!(rt.sync.lock().lock(crate::sync::LockId(0)).held);
         assert!(!rt.outbox.lock().has_pending());
         assert_eq!(rt.stats().snapshot().updates_sent, 1);
+        tx1.send(NodeId::new(0), "shutdown", 8, DsmMsg::Shutdown)
+            .unwrap();
+        server.join().unwrap();
+        drop(net);
+    }
+
+    /// The window close counts only `UpdateAck`s: it never ships a
+    /// cooperative bundle, so a stray `RelayFanoutAck` is a protocol
+    /// violation rather than an ack that would close the window before its
+    /// real ack arrives.
+    #[test]
+    fn window_close_rejects_a_stray_fanout_ack() {
+        let mut table = SharedDataTable::new(64);
+        table.declare("ws", SharingAnnotation::WriteShared, 4, 8, false);
+        let table = Arc::new(table);
+        let cfg = Arc::new(MuninConfig::fast_test(2).with_piggyback(true));
+        let clock = NodeClock::new();
+        let mut net: Network<DsmMsg> = Network::new(2, CostModel::fast_test());
+        let (tx0, rx0) = net.endpoint(0, clock.clone()).unwrap();
+        let (tx1, rx1) = net.endpoint(1, NodeClock::new()).unwrap();
+        let rt = NodeRuntime::new(
+            NodeId::new(0),
+            2,
+            cfg,
+            table,
+            vec![],
+            vec![],
+            clock,
+            Arc::new(CostModel::fast_test()),
+            tx0,
+        );
+        let touched: HashSet<_> = rt.table().objects().iter().map(|o| o.id).collect();
+        rt.finish_root_init(&touched);
+        let ws = rt.table().var_by_name("ws").unwrap().objects[0];
+        {
+            let mut dir = rt.dir.lock();
+            let e = dir.entry_mut(ws);
+            e.copyset.insert(NodeId::new(1));
+            e.state.copyset_fixed = true;
+        }
+        rt.write_fault(ws).unwrap();
+        rt.install_object_bytes(ws, &[1u8; 32]);
+        rt.flush_hint().unwrap();
+
+        let server_rt = Arc::clone(&rt);
+        let server = std::thread::spawn(move || server_rt.server_loop(rx0));
+        let close_rt = Arc::clone(&rt);
+        let close = std::thread::spawn(move || close_rt.close_coalescing_window());
+        let (_env, msg) = rx1.recv().unwrap();
+        assert!(matches!(msg, DsmMsg::Update { .. }), "got {msg:?}");
+        tx1.send(
+            NodeId::new(0),
+            "relay_fanout_ack",
+            24,
+            DsmMsg::RelayFanoutAck {
+                refanned: vec![],
+                rejected: vec![],
+            },
+        )
+        .unwrap();
+        match close.join().unwrap() {
+            Err(MuninError::ProtocolViolation(m)) => {
+                assert!(m.contains("coalescing window"), "{m}")
+            }
+            other => panic!("expected a protocol violation, got {other:?}"),
+        }
         tx1.send(NodeId::new(0), "shutdown", 8, DsmMsg::Shutdown)
             .unwrap();
         server.join().unwrap();

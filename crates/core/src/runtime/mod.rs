@@ -41,7 +41,7 @@ use crate::diff::DiffScratch;
 use crate::directory::{AccessRights, DirEntry, Directory};
 use crate::duq::DelayedUpdateQueue;
 use crate::error::{MuninError, Result, StallReport};
-use crate::msg::DsmMsg;
+use crate::msg::{CarrierUpdate, DsmMsg, UpdateItem};
 use crate::object::ObjectId;
 use crate::segment::SharedDataTable;
 use crate::stats::MuninStats;
@@ -146,16 +146,33 @@ impl WaitOp {
     }
 }
 
-/// Verdict of [`NodeRuntime::check_update_seq`] on an inbound update
-/// transmission.
+/// Verdict of the update admission gate (`NodeRuntime::admit_update`) on
+/// an inbound update transmission.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum SeqCheck {
-    /// In sequence: the number was consumed, apply the items now.
+pub(crate) enum Admit {
+    /// Apply the items now (any stream number was consumed).
     Apply,
-    /// Ahead of the stream: defer until the missing transmissions arrive.
-    Early,
+    /// A target entry is busy or pinned, or the transmission is ahead of its
+    /// source's stream: re-queue it and retry when the condition clears.
+    Defer,
     /// Already consumed (duplicate delivery): drop the items.
     Stale,
+}
+
+/// Where an inbound update transmission sits in the update streams — what
+/// the admission gate checks and records for it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Stream {
+    /// Slot `seq` of `from`'s update stream to this node: applied strictly
+    /// in slot order, recorded as the flow-arrow sink of `from`'s send.
+    Slot { from: NodeId, seq: u64 },
+    /// An owner's re-fan of another node's bundle, arriving from `owner`:
+    /// it holds no stream slot (see `handle_relay_fanout`), so it is exempt
+    /// from the order check and its install draws no flow arrow.
+    Forward { owner: NodeId },
+    /// Lock-associated data on a grant: ordered by the lock token, not a
+    /// stream, and not recorded.
+    Sync,
 }
 
 /// The per-node runtime state shared by the user thread and the service
@@ -392,11 +409,17 @@ impl NodeRuntime {
         self.charge_user(self.cost.compute(ops));
     }
 
-    /// Takes the next outbound update-stream sequence number for `dest`.
-    /// Every update-bearing transmission (standalone `Update`, carrier
-    /// bundle, relayed bundle) to a destination consumes exactly one, in
-    /// the order the transmissions are issued.
-    pub(crate) fn next_update_seq(&self, dest: NodeId) -> u64 {
+    /// The send side of the update stream: turns `items` bound for `dest`
+    /// into a bundle holding `dest`'s next stream slot, and counts the
+    /// transmission. Every update-bearing frame — a flush's direct `Update`
+    /// or cooperative `RelayFanout`, a window close, a barrier-relayed
+    /// bundle, a carrier bundle on a grant, release or reply, the
+    /// invalidate flush — is built here, in the order the frames are
+    /// issued, so each consumes exactly one slot. The one exception is an
+    /// owner's re-fan (`handle_relay_fanout`), which is counted but holds
+    /// no slot of its own.
+    pub(crate) fn stream_bundle(&self, dest: NodeId, items: Vec<UpdateItem>) -> CarrierUpdate {
+        self.note_update_sent(&items);
         let seq = {
             let mut seqs = self.update_seq_out.lock();
             let slot = &mut seqs[dest.as_usize()];
@@ -404,9 +427,7 @@ impl NodeRuntime {
             *slot += 1;
             seq
         };
-        // Every update-bearing transmission allocates exactly one number
-        // here, making this the single flow-arrow source ("s") point for the
-        // trace exporter.
+        // The single flow-arrow source ("s") point for the trace exporter.
         self.obs.record(
             self.clock.now().as_nanos(),
             crate::obs::EventKind::UpdateSend,
@@ -415,31 +436,91 @@ impl NodeRuntime {
                 ev.seq = Some(seq);
             },
         );
-        seq
+        CarrierUpdate {
+            from: self.node,
+            seq,
+            items,
+            sync_install: false,
+        }
     }
 
     /// Checks an inbound update transmission against the source's sequence
-    /// stream. `Apply` consumes the number; the caller must then apply the
-    /// items. `Early` means a lower-numbered transmission is still in
-    /// flight (the caller defers and retries); `Stale` means the number was
-    /// already consumed (an engine-injected duplicate — drop the items).
-    pub(crate) fn check_update_seq(&self, src: NodeId, seq: u64) -> SeqCheck {
+    /// stream (the admission gate's stream step). `Apply` consumes the
+    /// number; `Defer` means a lower-numbered transmission is still in
+    /// flight; `Stale` means the number was already consumed (an
+    /// engine-injected duplicate).
+    fn check_update_seq(&self, src: NodeId, seq: u64) -> Admit {
         let mut seqs = self.update_seq_in.lock();
         let expected = &mut seqs[src.as_usize()];
         match seq.cmp(expected) {
             std::cmp::Ordering::Equal => {
                 *expected += 1;
-                SeqCheck::Apply
+                Admit::Apply
             }
-            std::cmp::Ordering::Greater => SeqCheck::Early,
-            std::cmp::Ordering::Less => SeqCheck::Stale,
+            std::cmp::Ordering::Greater => Admit::Defer,
+            std::cmp::Ordering::Less => Admit::Stale,
         }
+    }
+
+    /// The admission gate every update-bearing receive passes: `Update`,
+    /// `RelayFanout`, `RelayForward` and each carrier bundle.
+    ///
+    /// A transmission is deferred while any target is mid-fetch (busy) *or*
+    /// covered by an in-flight pinned access. Mid-fetch: the in-flight
+    /// object data was served *before* this update was applied at the
+    /// server, so discarding the update as "no copy here" would leave the
+    /// just-fetched copy permanently stale (the same window the
+    /// copyset-query deferral closes; diffs carry absolute word values, so
+    /// applying the deferred update on top of the installed copy is exact).
+    /// The sender waits for the deferred ack as part of its release, which
+    /// also guarantees it cannot issue a *newer* update for the object that
+    /// this deferred one could regress. Pinned: applying concurrently would
+    /// interleave with the user thread's copy at byte granularity (the
+    /// VM-trap mode's user copies are lock-free). Pins are released without
+    /// blocking, so this cannot deadlock — same argument as the invalidate
+    /// deferral.
+    ///
+    /// Then the sequence-stream check (see `DsmMsg::Update::seq`): a slot
+    /// ahead of its source's stream defers until the in-flight
+    /// lower-numbered transmission (e.g. a barrier-relayed bundle on
+    /// another link) arrives; a stale one is an injected duplicate and must
+    /// not be re-applied over newer data. An admitted slot's install is the
+    /// flow-arrow sink ("f") matching the sender's `stream_bundle` slot.
+    pub(crate) fn admit_update(&self, at: VirtTime, items: &[UpdateItem], stream: Stream) -> Admit {
+        let blocked = {
+            let dir = self.dir.lock();
+            items.iter().any(|i| {
+                let st = dir.entry(i.object).state;
+                st.busy || st.pinned
+            })
+        };
+        let verdict = match (blocked, stream) {
+            (true, _) => Admit::Defer,
+            (false, Stream::Slot { from, seq }) => self.check_update_seq(from, seq),
+            (false, _) => Admit::Apply,
+        };
+        let (peer, seq) = match stream {
+            Stream::Slot { from, seq } => (from, Some(seq)),
+            Stream::Forward { owner } => (owner, None),
+            Stream::Sync => return verdict,
+        };
+        proto_trace!(self, "admit update from {peer:?} seq {seq:?}: {verdict:?}");
+        let kind = match verdict {
+            Admit::Apply => crate::obs::EventKind::UpdateInstall,
+            Admit::Defer => crate::obs::EventKind::UpdateDefer,
+            Admit::Stale => return verdict,
+        };
+        self.obs.record(at.as_nanos(), kind, |ev| {
+            ev.peer = Some(peer);
+            ev.seq = seq;
+        });
+        verdict
     }
 
     /// Counts one update transmission (standalone, piggybacked, or relayed)
     /// in the runtime statistics — the single accounting point for
     /// `updates_sent`/`update_bytes_sent`.
-    pub(crate) fn note_update_sent(&self, items: &[crate::msg::UpdateItem]) {
+    pub(crate) fn note_update_sent(&self, items: &[UpdateItem]) {
         crate::stats::add(&self.stats.updates_sent, 1);
         crate::stats::add(
             &self.stats.update_bytes_sent,

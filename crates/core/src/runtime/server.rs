@@ -21,7 +21,7 @@ use crate::object::ObjectId;
 use crate::stats::{add, bump};
 use crate::sync::RemoteAcquireAction;
 
-use super::NodeRuntime;
+use super::{Admit, NodeRuntime, Stream};
 
 impl NodeRuntime {
     /// Runs the service loop until a `Shutdown` message arrives. Intended to
@@ -190,17 +190,19 @@ impl NodeRuntime {
             DsmMsg::Invalidate { object, requester } => {
                 self.handle_invalidate(env, object, requester)
             }
-            DsmMsg::Update {
-                items,
-                requester,
-                seq,
-                needs_ack,
-            } => self.handle_update(env, items, requester, seq, needs_ack, now),
-            DsmMsg::RelayFanout { items, origin, seq } => {
-                self.handle_relay_fanout(env, items, origin, seq, now)
+            msg @ DsmMsg::Update { requester, seq, .. } => self.receive_update(
+                env,
+                msg,
+                Stream::Slot {
+                    from: requester,
+                    seq,
+                },
+            ),
+            msg @ DsmMsg::RelayFanout { origin, seq, .. } => {
+                self.receive_update(env, msg, Stream::Slot { from: origin, seq })
             }
-            DsmMsg::RelayForward { items, origin, seq } => {
-                self.handle_relay_forward(env, items, origin, seq, now)
+            msg @ DsmMsg::RelayForward { .. } => {
+                self.receive_update(env, msg, Stream::Forward { owner: env.src })
             }
             DsmMsg::CopysetQuery {
                 objects,
@@ -367,9 +369,11 @@ impl NodeRuntime {
         }
     }
 
-    /// Applies every bundle that can be applied *now* and returns the rest
-    /// (blocked on a busy/pinned entry, or ahead of its source's sequence
-    /// stream). The caller decides how the returned bundles wait.
+    /// Applies every bundle the admission gate admits *now* and returns the
+    /// deferred rest. The caller decides how the returned bundles wait.
+    /// Flush bundles ride the per-source update stream like a standalone
+    /// update (a stale duplicate is dropped); sync installs are ordered by
+    /// the lock token they travel with instead.
     fn try_install_carrier_updates(
         self: &Arc<Self>,
         env: Envelope,
@@ -377,80 +381,21 @@ impl NodeRuntime {
     ) -> Vec<CarrierUpdate> {
         let mut waiting = Vec::new();
         for bundle in updates {
-            let blocked = {
-                let dir = self.dir.lock();
-                bundle.items.iter().any(|i| {
-                    let st = dir.entry(i.object).state;
-                    st.busy || st.pinned
-                })
-            };
-            if blocked {
-                crate::runtime::proto_trace!(self, "defer carrier bundle from {:?}", bundle.from);
-                if !bundle.sync_install {
-                    self.obs.record(
-                        env.arrival.as_nanos(),
-                        crate::obs::EventKind::UpdateDefer,
-                        |ev| {
-                            ev.peer = Some(bundle.from);
-                            ev.seq = Some(bundle.seq);
-                        },
-                    );
+            let stream = if bundle.sync_install {
+                Stream::Sync
+            } else {
+                Stream::Slot {
+                    from: bundle.from,
+                    seq: bundle.seq,
                 }
-                waiting.push(bundle);
-                continue;
-            }
-            if bundle.sync_install {
-                self.install_sync_items(bundle.items);
-                continue;
-            }
-            // Flush bundles participate in the per-source update sequence
-            // stream: a bundle ahead of the stream (a lower-numbered direct
-            // update or bundle still in flight) defers like a busy entry; a
-            // stale one (duplicate delivery) is dropped.
-            match self.check_update_seq(bundle.from, bundle.seq) {
-                super::SeqCheck::Apply => {
-                    crate::runtime::proto_trace!(
-                        self,
-                        "install carrier bundle from {:?} seq {}: {:?}",
-                        bundle.from,
-                        bundle.seq,
-                        bundle.items.iter().map(|i| i.object).collect::<Vec<_>>()
-                    );
-                    self.obs.record(
-                        env.arrival.as_nanos(),
-                        crate::obs::EventKind::UpdateInstall,
-                        |ev| {
-                            ev.peer = Some(bundle.from);
-                            ev.seq = Some(bundle.seq);
-                        },
-                    );
+            };
+            match self.admit_update(env.arrival, &bundle.items, stream) {
+                Admit::Apply if bundle.sync_install => self.install_sync_items(bundle.items),
+                Admit::Apply => {
                     self.apply_update_items(bundle.items, false, env.arrival);
                 }
-                super::SeqCheck::Early => {
-                    crate::runtime::proto_trace!(
-                        self,
-                        "defer early carrier bundle from {:?} seq {}",
-                        bundle.from,
-                        bundle.seq
-                    );
-                    self.obs.record(
-                        env.arrival.as_nanos(),
-                        crate::obs::EventKind::UpdateDefer,
-                        |ev| {
-                            ev.peer = Some(bundle.from);
-                            ev.seq = Some(bundle.seq);
-                        },
-                    );
-                    waiting.push(bundle);
-                }
-                super::SeqCheck::Stale => {
-                    crate::runtime::proto_trace!(
-                        self,
-                        "drop stale carrier bundle from {:?} seq {}",
-                        bundle.from,
-                        bundle.seq
-                    );
-                }
+                Admit::Defer => waiting.push(bundle),
+                Admit::Stale => {}
             }
         }
         waiting
@@ -791,178 +736,110 @@ impl NodeRuntime {
         };
         self.charge_sys(self.cost.dir_op());
         bump(&self.stats.invalidations_received);
-        match flush_payload {
+        let ack = DsmMsg::InvalidateAck { object };
+        let at = now + self.cost.dir_op();
+        let Some(payload) = flush_payload else {
+            let _ = self.send_service(requester, ack, at);
+            return;
+        };
+        let bundle = self.stream_bundle(requester, vec![UpdateItem { object, payload }]);
+        if self.cfg.piggyback {
             // The dirty-copy flush rides the acknowledgement it would
             // otherwise race ahead of: one carrier instead of an Update
             // followed by an InvalidateAck to the same destination. The
             // receiver installs the update before the ack is routed, which
             // is the same order per-link FIFO gave the two messages.
-            Some(payload) if self.cfg.piggyback => {
-                add(&self.stats.msgs_piggybacked, 1);
-                let _ = self.send_service(
-                    requester,
-                    DsmMsg::Carrier {
-                        inner: Some(Box::new(DsmMsg::InvalidateAck { object })),
-                        updates: vec![CarrierUpdate {
-                            from: self.node,
-                            seq: self.next_update_seq(requester),
-                            items: vec![UpdateItem { object, payload }],
-                            sync_install: false,
-                        }],
-                        relay: Vec::new(),
-                    },
-                    now + self.cost.dir_op(),
-                );
-                return;
-            }
-            Some(payload) => {
-                let _ = self.send_service(
-                    requester,
-                    DsmMsg::Update {
-                        items: vec![UpdateItem { object, payload }],
-                        requester: self.node,
-                        seq: self.next_update_seq(requester),
-                        needs_ack: false,
-                    },
-                    now + self.cost.dir_op(),
-                );
-            }
-            None => {}
+            add(&self.stats.msgs_piggybacked, 1);
+            let carrier = DsmMsg::Carrier {
+                inner: Some(Box::new(ack)),
+                updates: vec![bundle],
+                relay: Vec::new(),
+            };
+            let _ = self.send_service(requester, carrier, at);
+        } else {
+            let _ = self.send_service(requester, bundle.into_update(false), at);
+            let _ = self.send_service(requester, ack, at);
         }
-        let _ = self.send_service(
-            requester,
-            DsmMsg::InvalidateAck { object },
-            now + self.cost.dir_op(),
-        );
     }
 
-    /// Applies incoming delayed updates to the local copies.
-    ///
-    /// If any updated object is mid-fetch on this node (its busy bit is
-    /// set), the whole update is deferred until the fetch completes: the
-    /// in-flight object data was served *before* this update was applied at
-    /// the server, so discarding the update as "no copy here" would leave the
-    /// just-fetched copy permanently stale (the same window the copyset-query
-    /// deferral closes; diffs carry absolute word values, so applying the
-    /// deferred update on top of the installed copy is exact). The sender
-    /// waits for the deferred ack as part of its release, which also
-    /// guarantees it cannot issue a *newer* update for the object that this
-    /// deferred one could regress.
-    fn handle_update(
-        self: &Arc<Self>,
-        env: Envelope,
-        items: Vec<UpdateItem>,
-        requester: NodeId,
-        seq: u64,
-        needs_ack: bool,
-        now: munin_sim::VirtTime,
-    ) {
-        {
-            let dir = self.dir.lock();
-            // Deferred while any target is mid-fetch (busy) *or* covered by
-            // an in-flight pinned access: applying concurrently with a
-            // pinned access would interleave with the user thread's copy at
-            // byte granularity (the VM-trap mode's user copies are
-            // lock-free). Pins are released without blocking, so this
-            // cannot deadlock — same argument as the invalidate deferral.
-            if items.iter().any(|i| {
-                let st = dir.entry(i.object).state;
-                st.busy || st.pinned
-            }) {
-                drop(dir);
-                crate::runtime::proto_trace!(self, "defer update from {requester:?}");
-                self.obs
-                    .record(now.as_nanos(), crate::obs::EventKind::UpdateDefer, |ev| {
-                        ev.peer = Some(requester);
-                        ev.seq = Some(seq);
-                    });
-                self.deferred.lock().push((
-                    env,
-                    DsmMsg::Update {
-                        items,
-                        requester,
-                        seq,
-                        needs_ack,
-                    },
-                ));
-                return;
-            }
-        }
-        // Sequence-stream check (see `DsmMsg::Update::seq`): an update ahead
-        // of its source's stream defers until the in-flight lower-numbered
-        // transmission (e.g. a barrier-relayed bundle on another link)
-        // arrives; a stale one is an injected duplicate and must not be
-        // re-applied over newer data.
-        match self.check_update_seq(requester, seq) {
-            super::SeqCheck::Apply => {
-                // The flow-arrow sink ("f") matching the sender's
-                // `next_update_seq` allocation.
-                self.obs
-                    .record(now.as_nanos(), crate::obs::EventKind::UpdateInstall, |ev| {
-                        ev.peer = Some(requester);
-                        ev.seq = Some(seq);
-                    });
-            }
-            super::SeqCheck::Early => {
-                crate::runtime::proto_trace!(
-                    self,
-                    "defer early update from {requester:?} seq {seq}"
-                );
-                self.obs
-                    .record(now.as_nanos(), crate::obs::EventKind::UpdateDefer, |ev| {
-                        ev.peer = Some(requester);
-                        ev.seq = Some(seq);
-                    });
-                self.deferred.lock().push((
-                    env,
-                    DsmMsg::Update {
-                        items,
-                        requester,
-                        seq,
-                        needs_ack,
-                    },
-                ));
-                return;
-            }
-            super::SeqCheck::Stale => {
-                crate::runtime::proto_trace!(
-                    self,
-                    "drop stale update from {requester:?} seq {seq}"
-                );
-                if needs_ack {
-                    // The original delivery was acknowledged when it was
-                    // applied; ack the duplicate too so a sender counting
-                    // per-message acks is no worse off than under the legacy
-                    // re-apply behaviour.
-                    let _ = self.send_service(
-                        requester,
-                        DsmMsg::UpdateAck {
-                            count: 0,
-                            owned_copysets: Vec::new(),
-                        },
-                        now,
-                    );
-                }
-                return;
-            }
-        }
-        let (applied, service, owned_copysets) = self.apply_update_items(items, needs_ack, now);
-        if needs_ack {
-            // The ack is itself a carrier opportunity: any coalesced items
-            // queued for the flusher ride it home.
-            self.send_service_with_pending(
-                requester,
-                DsmMsg::UpdateAck {
-                    count: applied,
-                    owned_copysets,
+    /// Receives a standalone update-bearing message (`Update`,
+    /// `RelayFanout`, `RelayForward`) through the admission gate
+    /// (`admit_update`). A deferred message is re-queued whole. A stale
+    /// duplicate is answered with its kind's empty reply: the original
+    /// delivery was acknowledged when it was applied, and acking the
+    /// duplicate too keeps a sender counting per-message acks no worse off
+    /// than under the legacy re-apply behaviour. An admitted message is
+    /// applied and acknowledged — the ack is itself a carrier opportunity:
+    /// any coalesced items queued for the flusher ride it home.
+    fn receive_update(self: &Arc<Self>, env: Envelope, msg: DsmMsg, stream: Stream) {
+        let now = env.arrival;
+        let items: &[UpdateItem] = match &msg {
+            DsmMsg::Update { items, .. }
+            | DsmMsg::RelayFanout { items, .. }
+            | DsmMsg::RelayForward { items, .. } => items,
+            _ => &[],
+        };
+        match (self.admit_update(now, items, stream), msg) {
+            (Admit::Defer, msg) => self.deferred.lock().push((env, msg)),
+            (
+                Admit::Stale,
+                DsmMsg::Update {
+                    requester,
+                    needs_ack: true,
+                    ..
                 },
-                now + service,
-            );
+            ) => {
+                let ack = DsmMsg::UpdateAck {
+                    count: 0,
+                    owned_copysets: Vec::new(),
+                };
+                let _ = self.send_service(requester, ack, now);
+            }
+            (Admit::Stale, DsmMsg::RelayFanout { origin, .. }) => {
+                let ack = DsmMsg::RelayFanoutAck {
+                    refanned: Vec::new(),
+                    rejected: Vec::new(),
+                };
+                let _ = self.send_service(origin, ack, now);
+            }
+            (
+                Admit::Apply,
+                DsmMsg::Update {
+                    items,
+                    requester,
+                    needs_ack,
+                    ..
+                },
+            ) => {
+                let (count, service, owned_copysets) =
+                    self.apply_update_items(items, needs_ack, now);
+                if needs_ack {
+                    let ack = DsmMsg::UpdateAck {
+                        count,
+                        owned_copysets,
+                    };
+                    self.send_service_with_pending(requester, ack, now + service);
+                }
+            }
+            (Admit::Apply, DsmMsg::RelayFanout { items, origin, seq }) => {
+                self.handle_relay_fanout(items, origin, seq, now)
+            }
+            // A forward acknowledges `origin`, whose flush is blocked
+            // counting acks — not the forwarding owner.
+            (Admit::Apply, DsmMsg::RelayForward { items, origin, .. }) => {
+                let (count, service, _) = self.apply_update_items(items, false, now);
+                let ack = DsmMsg::UpdateAck {
+                    count,
+                    owned_copysets: Vec::new(),
+                };
+                self.send_service_with_pending(origin, ack, now + service);
+            }
+            _ => {}
         }
     }
 
-    /// Handles an owner-cooperative fan-out bundle: installs the items this
-    /// node owns, then re-fans them to the other members of its
+    /// Handles an admitted owner-cooperative fan-out bundle: installs the
+    /// items this node owns, then re-fans them to the other members of its
     /// *authoritative* copyset (the union of every determined set with the
     /// replicas recorded while serving fetches) — the flusher never runs a
     /// determination round or heals stragglers for these objects. Items this
@@ -970,75 +847,21 @@ impl NodeRuntime {
     /// back in the ack as `rejected`, neither installed nor distributed; the
     /// origin repairs its hint and falls back to a direct broadcast.
     ///
-    /// Defer and sequencing rules mirror `handle_update`: the bundle rides
-    /// the origin→owner update stream, and a stale duplicate is answered
-    /// with an empty ack so the origin's per-message accounting stays whole.
+    /// The bundle rides the origin→owner update stream; each re-fan is a
+    /// `RelayForward`, which the destination admits without a stream check:
+    /// forwards travel the owner→destination link directly (FIFO, no
+    /// carrier detour), and they deliberately carry no slot of the owner's
+    /// update stream (see below). Interleaving with the owner's stashed
+    /// bundles is order-insensitive: concurrent-interval diffs from distinct
+    /// writers touch disjoint words in data-race-free programs — the same
+    /// assumption the legacy multi-link fan-out already makes.
     fn handle_relay_fanout(
         self: &Arc<Self>,
-        env: Envelope,
         items: Vec<UpdateItem>,
         origin: NodeId,
         seq: u64,
         now: munin_sim::VirtTime,
     ) {
-        {
-            let dir = self.dir.lock();
-            if items.iter().any(|i| {
-                let st = dir.entry(i.object).state;
-                st.busy || st.pinned
-            }) {
-                drop(dir);
-                crate::runtime::proto_trace!(self, "defer relay fanout from {origin:?}");
-                self.obs
-                    .record(now.as_nanos(), crate::obs::EventKind::UpdateDefer, |ev| {
-                        ev.peer = Some(origin);
-                        ev.seq = Some(seq);
-                    });
-                self.deferred
-                    .lock()
-                    .push((env, DsmMsg::RelayFanout { items, origin, seq }));
-                return;
-            }
-        }
-        match self.check_update_seq(origin, seq) {
-            super::SeqCheck::Apply => {
-                self.obs
-                    .record(now.as_nanos(), crate::obs::EventKind::UpdateInstall, |ev| {
-                        ev.peer = Some(origin);
-                        ev.seq = Some(seq);
-                    });
-            }
-            super::SeqCheck::Early => {
-                crate::runtime::proto_trace!(
-                    self,
-                    "defer early relay fanout from {origin:?} seq {seq}"
-                );
-                self.obs
-                    .record(now.as_nanos(), crate::obs::EventKind::UpdateDefer, |ev| {
-                        ev.peer = Some(origin);
-                        ev.seq = Some(seq);
-                    });
-                self.deferred
-                    .lock()
-                    .push((env, DsmMsg::RelayFanout { items, origin, seq }));
-                return;
-            }
-            super::SeqCheck::Stale => {
-                crate::runtime::proto_trace!(
-                    self,
-                    "drop stale relay fanout from {origin:?} seq {seq}"
-                );
-                let _ = self.send_service(
-                    origin,
-                    DsmMsg::RelayFanoutAck {
-                        refanned: Vec::new(),
-                        rejected: Vec::new(),
-                    },
-                    now,
-                );
-                return;
-            }
-        }
         // Partition on ownership and snapshot the authoritative copysets in
         // one directory-lock scope; liveness is checked afterwards because
         // the failure detector takes its own lock.
@@ -1078,8 +901,8 @@ impl NodeRuntime {
                     ev.object = dest_items.first().map(|i| i.object);
                     ev.seq = Some(seq);
                 });
-            // The forward carries the *origin's* fan-out seq for trace
-            // correlation but deliberately does NOT draw a slot from this
+            // The forward carries the *origin's* fan-out seq (tying it to the
+            // `OwnerRefan` record) but deliberately does NOT draw a slot from this
             // node's own update stream to `dest`: this service thread may
             // run while the user thread has relay bundles (holding earlier
             // stream slots) parked at a barrier owner until the release, and
@@ -1099,61 +922,6 @@ impl NodeRuntime {
         self.send_service_with_pending(
             origin,
             DsmMsg::RelayFanoutAck { refanned, rejected },
-            now + service,
-        );
-    }
-
-    /// Handles a bundle re-fanned by an owner on the origin's behalf, acking
-    /// `origin`, whose flush is blocked counting acks.
-    ///
-    /// Forwards are exempt from the per-stream sequence check: they travel
-    /// the owner→here link directly (FIFO, no carrier detour), and they
-    /// deliberately carry no slot of the owner's update stream — the
-    /// re-fanning service thread may run while the owner's user thread has
-    /// relay bundles holding earlier slots parked at a barrier owner (see
-    /// `handle_relay_fanout`). Interleaving with those stashed bundles is
-    /// order-insensitive: concurrent-interval diffs from distinct writers
-    /// touch disjoint words in data-race-free programs — the same assumption
-    /// the legacy multi-link fan-out already makes.
-    fn handle_relay_forward(
-        self: &Arc<Self>,
-        env: Envelope,
-        items: Vec<UpdateItem>,
-        origin: NodeId,
-        seq: u64,
-        now: munin_sim::VirtTime,
-    ) {
-        {
-            let dir = self.dir.lock();
-            if items.iter().any(|i| {
-                let st = dir.entry(i.object).state;
-                st.busy || st.pinned
-            }) {
-                drop(dir);
-                crate::runtime::proto_trace!(self, "defer relay forward from {:?}", env.src);
-                self.obs
-                    .record(now.as_nanos(), crate::obs::EventKind::UpdateDefer, |ev| {
-                        ev.peer = Some(env.src);
-                        ev.seq = Some(seq);
-                    });
-                self.deferred
-                    .lock()
-                    .push((env, DsmMsg::RelayForward { items, origin, seq }));
-                return;
-            }
-        }
-        self.obs
-            .record(now.as_nanos(), crate::obs::EventKind::UpdateInstall, |ev| {
-                ev.peer = Some(env.src);
-                ev.seq = Some(seq);
-            });
-        let (applied, service, _) = self.apply_update_items(items, false, now);
-        self.send_service_with_pending(
-            origin,
-            DsmMsg::UpdateAck {
-                count: applied,
-                owned_copysets: Vec::new(),
-            },
             now + service,
         );
     }
@@ -1236,24 +1004,31 @@ impl NodeRuntime {
         (applied, service, owned_copysets)
     }
 
-    /// Takes everything pending for `dst` and — when non-empty — the next
-    /// update-stream slot, in ONE outbox-lock scope. Atomicity matters: if
-    /// the take and the slot allocation were separate, a preempted service
-    /// thread could end up holding *older* items than a concurrent
-    /// user-thread flush while drawing a *later* slot, and the receiver
-    /// (which applies strictly in seq order) would install the stale items
-    /// over the newer data.
-    pub(crate) fn take_pending_with_seq(&self, dst: NodeId) -> Option<(Vec<UpdateItem>, u64)> {
+    /// Takes everything pending for `dst`, appends `fresh` (older coalesced
+    /// changes apply first), and — when non-empty — seals it into a bundle
+    /// holding the next update-stream slot, in ONE outbox-lock scope.
+    /// Atomicity matters: if the take and the slot allocation were separate,
+    /// a preempted service thread could end up holding *older* items than a
+    /// concurrent user-thread flush while drawing a *later* slot, and the
+    /// receiver (which applies strictly in seq order) would install the
+    /// stale items over the newer data. The bundle rides a carrier, so it is
+    /// counted as piggybacked.
+    pub(crate) fn take_pending_bundle(
+        &self,
+        dst: NodeId,
+        fresh: Vec<UpdateItem>,
+    ) -> Option<CarrierUpdate> {
         if !self.cfg.piggyback {
             return None;
         }
         let mut outbox = self.outbox.lock();
-        let pending = outbox.take_pending(dst);
-        if pending.is_empty() {
+        let mut items = outbox.take_pending(dst);
+        items.extend(fresh);
+        if items.is_empty() {
             return None;
         }
-        let seq = self.next_update_seq(dst);
-        Some((pending, seq))
+        add(&self.stats.msgs_piggybacked, 1);
+        Some(self.stream_bundle(dst, items))
     }
 
     /// Sends a service-thread reply, attaching any coalesced outbox items
@@ -1267,26 +1042,15 @@ impl NodeRuntime {
         msg: DsmMsg,
         logical_time: munin_sim::VirtTime,
     ) {
-        let Some((pending, seq)) = self.take_pending_with_seq(dst) else {
-            let _ = self.send_service(dst, msg, logical_time);
-            return;
-        };
-        add(&self.stats.msgs_piggybacked, 1);
-        self.note_update_sent(&pending);
-        let _ = self.send_service(
-            dst,
-            DsmMsg::Carrier {
+        let msg = match self.take_pending_bundle(dst, Vec::new()) {
+            Some(bundle) => DsmMsg::Carrier {
                 inner: Some(Box::new(msg)),
-                updates: vec![CarrierUpdate {
-                    from: self.node,
-                    seq,
-                    items: pending,
-                    sync_install: false,
-                }],
+                updates: vec![bundle],
                 relay: Vec::new(),
             },
-            logical_time,
-        );
+            None => msg,
+        };
+        let _ = self.send_service(dst, msg, logical_time);
     }
 
     /// Answers a broadcast copyset query: which of the listed objects does
@@ -1478,21 +1242,14 @@ impl NodeRuntime {
         diverted: Vec<UpdateItem>,
     ) {
         let sync_items = self.build_lock_piggyback(lock, to);
-        // Pending outbox items and their stream slot are taken in one
-        // outbox-lock scope (see `take_pending_with_seq`); the diverted
-        // flush items draw a slot the same way so the merged bundle's number
-        // reflects when its content was captured.
-        let mut flush_items = diverted;
-        let mut seq = None;
-        if let Some((pending, s)) = self.take_pending_with_seq(to) {
-            // Older coalesced changes apply before this release's items.
-            let fresh = std::mem::replace(&mut flush_items, pending);
-            flush_items.extend(fresh);
-            seq = Some(s);
-        }
+        // The diverted flush items join any pending outbox items in one
+        // bundle, whose slot is drawn in the outbox-lock scope of the take
+        // (see `take_pending_bundle`) so its number reflects when its
+        // content was captured.
+        let flush = self.take_pending_bundle(to, diverted);
         add(&self.stats.lock_messages, 1);
         let grant = DsmMsg::LockGrant { lock, queue };
-        if sync_items.is_empty() && flush_items.is_empty() {
+        if sync_items.is_empty() && flush.is_none() {
             let _ = self.send(to, grant);
             return;
         }
@@ -1505,16 +1262,7 @@ impl NodeRuntime {
                 sync_install: true,
             });
         }
-        if !flush_items.is_empty() {
-            add(&self.stats.msgs_piggybacked, 1);
-            self.note_update_sent(&flush_items);
-            updates.push(CarrierUpdate {
-                from: self.node,
-                seq: seq.unwrap_or_else(|| self.next_update_seq(to)),
-                items: flush_items,
-                sync_install: false,
-            });
-        }
+        updates.extend(flush);
         let _ = self.send(
             to,
             DsmMsg::Carrier {
@@ -2623,6 +2371,7 @@ mod tests {
         rt: Arc<NodeRuntime>,
         tx1: munin_sim::Sender<DsmMsg>,
         rx1: munin_sim::Receiver<DsmMsg>,
+        tx2: munin_sim::Sender<DsmMsg>,
         rx2: munin_sim::Receiver<DsmMsg>,
         rt_rx: munin_sim::Receiver<DsmMsg>,
     }
@@ -2636,7 +2385,7 @@ mod tests {
         let mut net: Network<DsmMsg> = Network::new(3, CostModel::fast_test());
         let (tx0, rx0) = net.endpoint(0, clock0.clone()).unwrap();
         let (tx1, rx1) = net.endpoint(1, NodeClock::new()).unwrap();
-        let (_tx2, rx2) = net.endpoint(2, NodeClock::new()).unwrap();
+        let (tx2, rx2) = net.endpoint(2, NodeClock::new()).unwrap();
         let rt = NodeRuntime::new(
             NodeId::new(0),
             3,
@@ -2654,6 +2403,7 @@ mod tests {
             rt,
             tx1,
             rx1,
+            tx2,
             rx2,
             rt_rx: rx0,
         }
@@ -2805,5 +2555,225 @@ mod tests {
             DsmMsg::UpdateAck { count, .. } => assert_eq!(count, 1),
             other => panic!("expected UpdateAck at the origin, got {other:?}"),
         }
+    }
+
+    /// The four update-bearing receive kinds, for the admission-gate table.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Kind {
+        Update,
+        Fanout,
+        Forward,
+        Carrier,
+    }
+
+    const KINDS: [Kind; 4] = [Kind::Update, Kind::Fanout, Kind::Forward, Kind::Carrier];
+
+    impl Harness3 {
+        /// Delivers one `kind` transmission of `data` (a full diff over the
+        /// zeroed `ws` copy) at stream slot `seq` of node 1, the origin. A
+        /// forward arrives from node 2 (the re-fanning owner) on node 1's
+        /// behalf; everything else comes straight from node 1.
+        fn deliver(&self, kind: Kind, seq: u64, data: u8) {
+            let ws = self.obj("ws");
+            let items = vec![UpdateItem {
+                object: ws,
+                payload: UpdatePayload::Diff(diff::encode(&[data; 32], &[0u8; 32])),
+            }];
+            let origin = NodeId::new(1);
+            let (tx, msg) = match kind {
+                Kind::Update => (
+                    &self.tx1,
+                    DsmMsg::Update {
+                        items,
+                        requester: origin,
+                        seq,
+                        needs_ack: true,
+                    },
+                ),
+                Kind::Fanout => (&self.tx1, DsmMsg::RelayFanout { items, origin, seq }),
+                Kind::Forward => (&self.tx2, DsmMsg::RelayForward { items, origin, seq }),
+                Kind::Carrier => (
+                    &self.tx1,
+                    DsmMsg::Carrier {
+                        inner: None,
+                        updates: vec![CarrierUpdate {
+                            from: origin,
+                            seq,
+                            items,
+                            sync_install: false,
+                        }],
+                        relay: vec![],
+                    },
+                ),
+            };
+            tx.send(NodeId::new(0), "update", 64, msg).unwrap();
+            self.pump();
+        }
+
+        /// Asserts the origin's next reply is `kind`'s acknowledgement
+        /// counting `applied` items (carriers are never acknowledged).
+        fn expect_reply(&self, kind: Kind, applied: usize) {
+            match (kind, self.rx1.try_recv().unwrap().map(|(_, m)| m)) {
+                (Kind::Carrier, None) => {}
+                (Kind::Update | Kind::Forward, Some(DsmMsg::UpdateAck { count, .. })) => {
+                    assert_eq!(count, applied, "{kind:?} ack count")
+                }
+                (Kind::Fanout, Some(DsmMsg::RelayFanoutAck { refanned, rejected })) => {
+                    assert!(refanned.is_empty() && rejected.is_empty(), "{kind:?} ack")
+                }
+                (_, other) => panic!("{kind:?}: unexpected reply {other:?}"),
+            }
+        }
+
+        fn ws_bytes(&self) -> Vec<u8> {
+            self.rt.object_bytes(self.obj("ws"))
+        }
+    }
+
+    /// Admission gate, case 1: a transmission touching a busy (mid-fetch)
+    /// or pinned (in-flight user access) entry defers without replying, and
+    /// is applied and answered once the entry clears.
+    #[test]
+    fn every_update_kind_defers_on_a_busy_or_pinned_entry() {
+        for kind in KINDS {
+            for pinned in [false, true] {
+                let h = harness3();
+                let ws = h.obj("ws");
+                h.rt.install_object_bytes(ws, &[0u8; 32]);
+                let set = |on: bool| {
+                    let mut dir = h.rt.dir.lock();
+                    let st = &mut dir.entry_mut(ws).state;
+                    if pinned {
+                        st.pinned = on;
+                    } else {
+                        st.busy = on;
+                    }
+                };
+                set(true);
+                h.deliver(kind, 0, 3);
+                assert_eq!(h.rt.deferred.lock().len(), 1, "{kind:?} pinned={pinned}");
+                assert_eq!(h.ws_bytes(), vec![0u8; 32], "{kind:?} applied early");
+                assert!(
+                    h.rx1.try_recv().unwrap().is_none(),
+                    "{kind:?} replied early"
+                );
+                set(false);
+                h.rt.process_deferred();
+                assert!(h.rt.deferred.lock().is_empty());
+                assert_eq!(h.ws_bytes(), vec![3u8; 32], "{kind:?} pinned={pinned}");
+                h.expect_reply(kind, 1);
+            }
+        }
+    }
+
+    /// Admission gate, case 2: a transmission ahead of its source's stream
+    /// defers until the gap closes (here by a bare carrier bundle holding
+    /// slot 0), then applies on top. Forwards carry no slot of a stream and
+    /// apply at once.
+    #[test]
+    fn every_sequenced_update_kind_defers_an_early_seq_until_the_gap_closes() {
+        for kind in KINDS {
+            let h = harness3();
+            h.rt.install_object_bytes(h.obj("ws"), &[0u8; 32]);
+            h.deliver(kind, 1, 2);
+            if kind == Kind::Forward {
+                assert!(h.rt.deferred.lock().is_empty(), "forwards are exempt");
+                assert_eq!(h.ws_bytes(), vec![2u8; 32]);
+                h.expect_reply(kind, 1);
+                continue;
+            }
+            assert_eq!(h.rt.deferred.lock().len(), 1, "{kind:?} must defer");
+            assert_eq!(h.ws_bytes(), vec![0u8; 32]);
+            assert!(
+                h.rx1.try_recv().unwrap().is_none(),
+                "{kind:?} replied early"
+            );
+            h.deliver(Kind::Carrier, 0, 1);
+            h.rt.process_deferred();
+            assert!(h.rt.deferred.lock().is_empty());
+            assert_eq!(h.ws_bytes(), vec![2u8; 32], "{kind:?}: stream order");
+            h.expect_reply(kind, 1);
+        }
+    }
+
+    /// Admission gate, case 3: a duplicate of an already-consumed slot is
+    /// dropped — never applied over newer data — and answered with its
+    /// kind's empty reply, so the origin's per-message ack count stays
+    /// whole. Forwards are exempt and apply again.
+    #[test]
+    fn every_sequenced_update_kind_drops_a_stale_seq_with_an_empty_reply() {
+        for kind in KINDS {
+            let h = harness3();
+            h.rt.install_object_bytes(h.obj("ws"), &[0u8; 32]);
+            h.deliver(kind, 0, 4);
+            assert_eq!(h.ws_bytes(), vec![4u8; 32]);
+            h.expect_reply(kind, 1);
+            h.rt.install_object_bytes(h.obj("ws"), &[0u8; 32]);
+            h.deliver(kind, 0, 5);
+            assert!(
+                h.rt.deferred.lock().is_empty(),
+                "{kind:?}: stale never defers"
+            );
+            if kind == Kind::Forward {
+                assert_eq!(h.ws_bytes(), vec![5u8; 32], "forwards are exempt");
+                h.expect_reply(kind, 1);
+            } else {
+                assert_eq!(h.ws_bytes(), vec![0u8; 32], "{kind:?}: stale applied");
+                h.expect_reply(kind, 0);
+            }
+        }
+    }
+
+    /// The multi-writer flush on `Invalidate`: a dirty write-shared copy's
+    /// pending changes go to the invalidator ahead of (or framed with) the
+    /// ack, and count as one update transmission.
+    #[test]
+    fn invalidating_a_dirty_write_shared_copy_flushes_and_counts_the_update() {
+        let h = harness();
+        let ws = h.obj("ws");
+        h.rt.write_fault(ws).unwrap();
+        h.rt.install_object_bytes(ws, &[7u8; 32]);
+        h.peer_tx
+            .send(
+                NodeId::new(0),
+                "invalidate",
+                40,
+                DsmMsg::Invalidate {
+                    object: ws,
+                    requester: NodeId::new(1),
+                },
+            )
+            .unwrap();
+        h.pump();
+        let flushed = |items: &[UpdateItem]| items.len() == 1 && items[0].object == ws;
+        if h.rt.cfg.piggyback {
+            match h.peer_recv() {
+                DsmMsg::Carrier {
+                    inner: Some(inner),
+                    updates,
+                    relay,
+                } => {
+                    assert!(matches!(*inner, DsmMsg::InvalidateAck { object } if object == ws));
+                    assert_eq!(updates.len(), 1);
+                    assert!(!updates[0].sync_install && flushed(&updates[0].items));
+                    assert!(relay.is_empty());
+                }
+                other => panic!("expected Carrier{{InvalidateAck + bundle}}, got {other:?}"),
+            }
+        } else {
+            match h.peer_recv() {
+                DsmMsg::Update { items, .. } => assert!(flushed(&items)),
+                other => panic!("expected the flush Update first, got {other:?}"),
+            }
+            assert!(matches!(h.peer_recv(), DsmMsg::InvalidateAck { .. }));
+        }
+        assert!(h.peer_rx.try_recv().unwrap().is_none());
+        let stats = h.rt.stats().snapshot();
+        assert_eq!(stats.updates_sent, 1);
+        assert!(stats.update_bytes_sent > 0);
+        assert_eq!(
+            h.rt.dir.lock().entry(ws).state.rights,
+            AccessRights::Invalid
+        );
     }
 }

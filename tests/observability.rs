@@ -232,22 +232,43 @@ fn exporter_renders_the_golden_trace_for_synthetic_events() {
 // Trace export: schema-valid, per-node tracks, fully paired flow arrows.
 // ---------------------------------------------------------------------------
 
-/// A 4-node workload that exercises every event family: faults (read and
-/// write), fetches, lock transfers, barriers, and flushed updates.
-fn traced_report() -> munin::MuninReport<i64> {
-    let cfg = MuninConfig::fast_test(4)
+/// The traced workload's config. It keeps the environment's carrier-layer
+/// setting, so the `MUNIN_PIGGYBACK=off` tier checks the flows of the
+/// per-message path.
+fn traced_config() -> MuninConfig {
+    MuninConfig::fast_test(4)
         .with_engine(EngineConfig::seeded(11))
-        .with_flight_events(UNBOUNDED);
-    let mut prog = MuninProgram::new(cfg);
+        .with_flight_events(UNBOUNDED)
+}
+
+/// A 4-node workload that exercises every event family: faults (read and
+/// write), fetches, lock transfers, barriers, and flushed updates —
+/// including, with the carrier layer on, an owner re-fan: node 1 writes a
+/// write-shared object that node 0 owns and nodes 2 and 3 hold, so its
+/// flush ships to the owner, which forwards it on node 1's behalf.
+fn traced_report() -> munin::MuninReport<i64> {
+    let mut prog = MuninProgram::new(traced_config());
     let data = prog.declare::<i64>("data", 64, SharingAnnotation::WriteShared);
+    let hot = prog.declare::<i64>("hot", 1, SharingAnnotation::WriteShared);
     let counter = prog.declare::<i64>("counter", 1, SharingAnnotation::Migratory);
     let lock = prog.create_lock("counter_lock");
     let step = prog.create_barrier("step");
     prog.user_init(move |init| {
         init.write_slice(&data, 0, &[1i64; 64]).unwrap();
+        // Materialized at the root, so node 0 keeps ownership of `hot`
+        // instead of handing it to whichever node fetches it first.
+        init.write_slice(&hot, 0, &[1i64]).unwrap();
     });
     prog.run(move |ctx| {
         let me = ctx.node_id() as i64;
+        // Every node takes a copy of `hot` from its owner (node 0); then a
+        // non-owner writes it and the barrier flush re-fans through the owner.
+        let _: i64 = ctx.read(&hot, 0)?;
+        ctx.wait_at_barrier(step)?;
+        if me == 1 {
+            ctx.write(&hot, 0, 7)?;
+        }
+        ctx.wait_at_barrier(step)?;
         for round in 0..3 {
             ctx.acquire_lock(lock)?;
             let v: i64 = ctx.read(&counter, 0)?;
@@ -270,6 +291,12 @@ fn traced_report() -> munin::MuninReport<i64> {
 fn exported_trace_validates_with_fully_paired_flows() {
     let report = traced_report();
     assert!(report.first_error().is_none());
+    if traced_config().piggyback {
+        assert!(
+            report.stats.iter().map(|s| s.owner_refans).sum::<u64>() > 0,
+            "the run must exercise an owner re-fan"
+        );
+    }
     for snap in &report.obs {
         assert!(
             snap.events_recorded > 0,
